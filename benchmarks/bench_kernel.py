@@ -55,19 +55,16 @@ def _kernel_stats(sim):
 
 
 def bench_kernel(cells=None):
-    """Port-module RTL bench: both clocking schemes with the default
-    bulk waveform playback, the cycle engine with the generator
-    playback forced (the bulk-vs-generator dimension), and the cycle
-    engine with the event component backend forced (the
+    """Port-module RTL bench: both kernel clocks, and the cycle engine
+    with every component kept on the event kernel (the
     compiled-vs-event dimension)."""
     cells = scaled(80) if cells is None else cells
     clocks = 53 * (cells + 6)
 
-    def build(sim, clk, playback):
+    def build(sim, clk):
         pm = AtmPortModuleRtl(sim, "pm", clk)
         pm.install(1, 100, 2, 200)
-        sender = CellSender(sim, "gen", clk, port=pm.rx,
-                            playback=playback)
+        sender = CellSender(sim, "gen", clk, port=pm.rx)
         receiver = CellReceiver(sim, "mon", clk, pm.tx)
         for i in range(cells):
             sender.send(AtmCell.with_payload(1, 100,
@@ -75,14 +72,13 @@ def bench_kernel(cells=None):
         return receiver
 
     configs = {
-        "event": ("event", "auto", None),
-        "cycle": ("cycle", "auto", None),
-        "cycle_generator": ("cycle", "generator", None),
-        "cycle_event_backend": ("cycle", "auto", "event"),
+        "event": ("event", None),
+        "cycle": ("cycle", None),
+        "cycle_event_backend": ("cycle", "event"),
     }
     results = {}
     receivers = {}
-    for key, (scheme, playback, backend) in configs.items():
+    for key, (scheme, backend) in configs.items():
         sim = Simulator()
         if backend is not None:
             sim.rtl_backend = backend
@@ -91,7 +87,7 @@ def bench_kernel(cells=None):
             sim.add_clock(clk, period=10)
         else:
             CycleEngine(sim, clk, period=10)
-        receivers[key] = build(sim, clk, playback)
+        receivers[key] = build(sim, clk)
         start = time.perf_counter()
         sim.run(until=clocks * 10)
         wall = time.perf_counter() - start
@@ -112,13 +108,9 @@ def bench_kernel(cells=None):
         "cells": cells,
         "event_driven": results["event"],
         "cycle_engine": results["cycle"],
-        "generator_playback": results["cycle_generator"],
         "event_backend": results["cycle_event_backend"],
         "speedup": (results["cycle"]["cycles_per_s"]
                     / results["event"]["cycles_per_s"]),
-        "bulk_vs_generator": (
-            results["cycle"]["cycles_per_s"]
-            / results["cycle_generator"]["cycles_per_s"]),
         "compiled_vs_event": (
             results["cycle"]["cycles_per_s"]
             / results["cycle_event_backend"]["cycles_per_s"]),
@@ -220,13 +212,10 @@ def main():
           f"({kernel['event_driven']['wall_s']:.3f} s)")
     print(f"  cycle engine : {kernel['cycle_engine']['cycles_per_s']:>10.0f} cyc/s "
           f"({kernel['cycle_engine']['wall_s']:.3f} s)")
-    print(f"  generator pb : {kernel['generator_playback']['cycles_per_s']:>10.0f} cyc/s "
-          f"({kernel['generator_playback']['wall_s']:.3f} s)")
     print(f"  event backend: {kernel['event_backend']['cycles_per_s']:>10.0f} cyc/s "
           f"({kernel['event_backend']['wall_s']:.3f} s)")
     print(f"  speed-up     : {kernel['speedup']:.2f}x "
-          f"(bulk vs generator {kernel['bulk_vs_generator']:.2f}x, "
-          f"compiled vs event {kernel['compiled_vs_event']:.2f}x)"
+          f"(compiled vs event {kernel['compiled_vs_event']:.2f}x)"
           f"  -> {path}")
 
     e1 = bench_e1()

@@ -77,28 +77,23 @@ def save_bench_json(name: str, payload: Dict) -> Path:
 def build_cosim_accounting(num_cells: int, load: float = 0.25,
                            lockstep: bool = False,
                            bug: Optional[str] = None,
-                           clocking: str = "cycle",
                            observe: bool = True,
-                           rtl_backend: Optional[str] = None,
                            level: Optional[str] = None):
     """Figure-1 setup: 4-port abstract switch, CBR sources at *load*
     per port, the accounting DUT coupled on the aggregate switched
     stream.
 
-    *clocking* selects the DUT clock scheme ("cycle" fast dispatch,
-    the default, or the seed "event" generator clock); *observe=False*
-    disables the metrics registry (the perf benchmarks measure the
-    un-instrumented stack); *level* selects the DUT abstraction
-    ("rtl", the seed behaviour, or "behav" for the zero-delta twin —
-    default: the environment's ``REPRO_DUT_LEVEL`` policy).
+    *observe=False* disables the metrics registry (the perf benchmarks
+    measure the un-instrumented stack); *level* selects the DUT
+    abstraction ("rtl", the seed behaviour, or "behav" for the
+    zero-delta twin — default: the environment's ``REPRO_DUT_LEVEL``
+    policy).
 
     Returns (env, dut, entity, reference, finish) where finish() runs
     the drain and returns DUT records.
     """
     env = CoVerificationEnvironment(timebase=TIMEBASE, lockstep=lockstep,
-                                    clocking=clocking, observe=observe,
-                                    rtl_backend=rtl_backend,
-                                    dut_level=level)
+                                    observe=observe, dut_level=level)
     if env.resolved_dut_level() == "behav":
         dut = AccountingUnitBehav("acct", timebase=TIMEBASE, bug=bug)
         entity = env.add_dut(behav=dut)
@@ -197,7 +192,6 @@ def reference_records(reference: AccountingUnit) -> List[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def build_pure_rtl_system(cells_per_port: int, load: float = 0.25,
-                          clocking: str = "cycle",
                           rtl_backend: Optional[str] = None):
     """The fully-RTL alternative — the paper's device list verbatim:
     an RTL switch of **four port modules and one global control unit**
@@ -206,10 +200,9 @@ def build_pure_rtl_system(cells_per_port: int, load: float = 0.25,
     wire), monitored on every output, with the accounting DUT listening
     on port 0's output stream.
 
-    *clocking* selects the clock scheme ("cycle" fast dispatch, the
-    default, or the seed "event" generator clock); *rtl_backend*
-    selects the component execution backend ("event" | "compiled" |
-    "auto", default: the simulator's REPRO_RTL_BACKEND/"auto").
+    *rtl_backend* ``"event"`` keeps every component on the event
+    kernel (``Simulator.rtl_backend``) for the ``pure_rtl_event`` row;
+    the default leaves the simulator compiling.
 
     Returns (sim, run) where run() executes the bench and returns the
     measurement dict.
@@ -218,13 +211,7 @@ def build_pure_rtl_system(cells_per_port: int, load: float = 0.25,
     if rtl_backend is not None:
         sim.rtl_backend = rtl_backend
     clk = sim.signal("clk", init="0")
-    if clocking == "cycle":
-        CycleEngine(sim, clk, period=TIMEBASE.clock_period_ticks)
-    elif clocking == "event":
-        sim.add_clock(clk, period=TIMEBASE.clock_period_ticks)
-    else:
-        raise ValueError(
-            f"clocking must be 'cycle' or 'event', got {clocking!r}")
+    CycleEngine(sim, clk, period=TIMEBASE.clock_period_ticks)
 
     fabric = AtmSwitchRtl(sim, "fabric", clk, num_ports=4,
                           queue_depth=64)

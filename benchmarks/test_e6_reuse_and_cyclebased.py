@@ -101,8 +101,8 @@ def test_e6_cycle_based_vs_event_driven(benchmark):
     # cycle-based clock
     sim_c = Simulator()
     clk_c = sim_c.signal("clk", init="0")
-    _pm_c, recv_c = build_port_module_bench(sim_c, clk_c)
     engine = CycleEngine(sim_c, clk_c, period=10)
+    _pm_c, recv_c = build_port_module_bench(sim_c, clk_c)
     start = time.perf_counter()
     engine.run_cycles(clocks_needed)
     cycle_time = time.perf_counter() - start
@@ -134,7 +134,8 @@ def test_e6_cycle_based_vs_event_driven(benchmark):
     def cycle_based_run():
         sim = Simulator()
         clk = sim.signal("clk", init="0")
+        engine = CycleEngine(sim, clk, period=10)
         build_port_module_bench(sim, clk)
-        CycleEngine(sim, clk, period=10).run_cycles(clocks_needed // 4)
+        engine.run_cycles(clocks_needed // 4)
 
     benchmark.pedantic(cycle_based_run, rounds=1, iterations=1)

@@ -143,12 +143,11 @@ def make_events(rng: random.Random, cells: int,
 
 
 def _run_level(kind: str, level: str, events: Sequence[Event],
-               clocking: str, num_ports: int) -> Tuple[
+               num_ports: int) -> Tuple[
                    CoVerificationEnvironment, DutHandle]:
     """Build the DUT at *level* and replay *events* through it."""
     env = CoVerificationEnvironment(name=f"equiv.{kind}.{level}",
-                                    clocking=clocking, observe=False,
-                                    dut_level=level)
+                                    observe=False, dut_level=level)
     config = {"num_ports": num_ports} if kind == "switch" else {}
     handle = build_dut(env, kind, name=f"{kind}_{level}", **config)
     _SETUPS[kind](handle.design, env.timebase, num_ports)
@@ -199,8 +198,8 @@ def _diff_sequences(rtl: Sequence, behav: Sequence,
     }
 
 
-def run_kind(kind: str, cells: int = 64, seed: int = 0,
-             clocking: str = "cycle") -> Dict[str, object]:
+def run_kind(kind: str, cells: int = 64,
+             seed: int = 0) -> Dict[str, object]:
     """Replay one seeded stream through *kind* at both levels and
     diff the contract surface; returns the per-kind report entry."""
     if kind not in KINDS:
@@ -214,8 +213,8 @@ def run_kind(kind: str, cells: int = 64, seed: int = 0,
         connections = [[(1, 100 + j) for j in range(4)]]
     events = make_events(rng, cells, connections,
                          with_ticks=(kind == "accounting"))
-    _, rtl = _run_level(kind, "rtl", events, clocking, num_ports)
-    _, behav = _run_level(kind, "behav", events, clocking, num_ports)
+    _, rtl = _run_level(kind, "rtl", events, num_ports)
+    _, behav = _run_level(kind, "behav", events, num_ports)
 
     streams = [
         _diff_sequences(
@@ -252,28 +251,25 @@ def run_kind(kind: str, cells: int = 64, seed: int = 0,
 
 
 def run_equivalence(kinds: Sequence[str] = KINDS, cells: int = 64,
-                    seed: int = 0,
-                    clocking: str = "cycle") -> Dict[str, object]:
+                    seed: int = 0) -> Dict[str, object]:
     """Run the cross-level equivalence suite over *kinds*.
 
     Each kind gets its own seeded stream (derived from *seed*);
     the returned report is machine-readable and JSON-serialisable::
 
-        {"benchmark": "equiv", "clocking": ..., "seed": ...,
+        {"benchmark": "equiv", "seed": ..., "cells": ...,
          "duts": {kind: {...per-kind entry...}},
          "passed": true|false}
     """
     report: Dict[str, object] = {
         "benchmark": "equiv",
-        "clocking": clocking,
         "seed": seed,
         "cells": cells,
         "duts": {},
         "passed": True,
     }
     for offset, kind in enumerate(kinds):
-        entry = run_kind(kind, cells=cells, seed=seed + 7919 * offset,
-                         clocking=clocking)
+        entry = run_kind(kind, cells=cells, seed=seed + 7919 * offset)
         report["duts"][kind] = entry          # type: ignore[index]
         report["passed"] = bool(report["passed"]) and entry["passed"]
     return report

@@ -433,9 +433,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
               f"known: {', '.join(KINDS)}", file=sys.stderr)
         return 2
     report = run_equivalence(kinds=kinds, cells=args.cells,
-                             seed=args.seed, clocking=args.clocking)
+                             seed=args.seed)
     print(f"cross-level equivalence — {args.cells} cells/kind, "
-          f"seed {args.seed}, {args.clocking} clocking")
+          f"seed {args.seed}")
     for kind, entry in report["duts"].items():
         streams = entry["streams"]
         cells_out = sum(s["rtl_count"] for s in streams)
@@ -806,9 +806,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="cells per DUT kind (default 64)")
     equiv.add_argument("--seed", type=int, default=0,
                        help="base RNG seed (default 0)")
-    equiv.add_argument("--clocking", default="cycle",
-                       choices=("cycle", "event"),
-                       help="RTL-side clocking scheme (default cycle)")
     equiv.add_argument("--json",
                        default=str(_repo_root() / "BENCH_equiv.json"),
                        help="report JSON output path "

@@ -78,11 +78,11 @@ class CosimulationEntity(DutContract):
     passed to :attr:`on_output` when set.
 
     The entity advances the DUT exclusively through ``hdl.run(until=...)``
-    (via the synchroniser), so it is clocking-agnostic: with a
-    :class:`~repro.hdl.cycle.CycleEngine` attached (the environment's
-    default) every granted window executes through the engine's fast
-    edge dispatch, with the event-driven generator clock it runs the
-    seed scheduler — byte-identical traces either way.
+    (via the synchroniser), so it does not care which kernel clock
+    drives *clk*: under the environment's
+    :class:`~repro.hdl.cycle.CycleEngine` every granted window executes
+    through the engine's fast edge dispatch, under ``hdl.add_clock`` it
+    runs the event scheduler — byte-identical traces either way.
     """
 
     level = "rtl"
@@ -247,7 +247,6 @@ class CosimulationEntity(DutContract):
             "ticks_in": self.ticks_in,
             "output_cells": len(self.output_cells),
             "sender_backlog": self.sender.backlog,
-            "sender_playback": self.sender.playback,
             "sender_template_hits": self.sender.template_hits,
             "sender_template_misses": self.sender.template_misses,
             "sync": self.sync.stats.as_dict(),

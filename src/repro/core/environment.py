@@ -91,12 +91,10 @@ class CoVerificationEnvironment:
     def __init__(self, name: str = "castanet",
                  timebase: Optional[TimeBase] = None,
                  lockstep: bool = False,
-                 clocking: str = "cycle",
                  observe: bool = True,
                  trace: Optional[Union[str, Path,
                                        TraceWriter]] = None,
                  provenance_sample: Optional[int] = 1,
-                 rtl_backend: Optional[str] = None,
                  dut_level: Optional[str] = None) -> None:
         self.name = name
         # Default abstraction level for swappable DUTs built on this
@@ -134,29 +132,8 @@ class CoVerificationEnvironment:
             else TimeBase.for_line_rate()
         self.network = Network(f"{name}.net")
         self.hdl = Simulator(time_unit=self.timebase.tick_seconds)
-        # RTL execution backend for components built on this
-        # environment ("event" | "compiled" | "auto"); ``None`` keeps
-        # the simulator default (REPRO_RTL_BACKEND env var or "auto").
-        if rtl_backend is not None:
-            self.hdl.rtl_backend = rtl_backend
         self.clk = self.hdl.signal("clk", init="0")
-        # The DUT clock.  "cycle" (default since the hot-path overhaul)
-        # attaches a CycleEngine: clock edges are applied by direct
-        # dispatch with no heap/resume traffic, trace-identical to the
-        # event-driven generator clock that "event" (the seed scheme,
-        # kept for equivalence regression) still provides.
-        self.clock_engine: Optional[CycleEngine] = None
-        if clocking == "cycle":
-            self.clock_engine = CycleEngine(
-                self.hdl, self.clk,
-                period=self.timebase.clock_period_ticks)
-        elif clocking == "event":
-            self.hdl.add_clock(self.clk,
-                               period=self.timebase.clock_period_ticks)
-        else:
-            raise ValueError(
-                f"clocking must be 'cycle' or 'event', got {clocking!r}")
-        self.clocking = clocking
+        self.clock_engine = self._start_clock()
         self.lockstep = lockstep
         self.entities: List[DutContract] = []
         self.board_interfaces: List[BoardInterfaceModel] = []
@@ -167,6 +144,15 @@ class CoVerificationEnvironment:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _start_clock(self) -> Optional[CycleEngine]:
+        """Put the DUT clock on ``self.clk``: a :class:`CycleEngine`,
+        which applies clock edges by direct dispatch with no
+        heap/resume traffic.  (``repro.reference`` overrides this with
+        the kernel's event-driven generator clock, the oracle the
+        engine is trace-identical to.)"""
+        return CycleEngine(self.hdl, self.clk,
+                           period=self.timebase.clock_period_ticks)
+
     def resolved_dut_level(self, level: Optional[str] = None) -> str:
         """Resolve a per-DUT *level* override against this
         environment's ``dut_level`` policy (see
@@ -339,7 +325,6 @@ class CoVerificationEnvironment:
         §"Observability"."""
         snapshot: Dict[str, object] = {
             "name": self.name,
-            "clocking": self.clocking,
             "lockstep": self.lockstep,
             "hdl_kernel": self.hdl.stats_snapshot(),
             "netsim_kernel": self.network.kernel.stats_snapshot(),

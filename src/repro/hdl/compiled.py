@@ -29,11 +29,11 @@ Python:
   cyclic graph raises :class:`CombinationalCycleError` naming the
   signals in the loop.
 
-Backend selection is per component (``backend="event" | "compiled" |
-"auto"``, see :class:`repro.rtl.Component`); ``"auto"`` falls back to
-the event kernel when compilation raises :class:`UnsupportedFeature`
-(for example a written signal that already carries a foreign driver)
-and counts the fallback on ``Simulator.compiled_fallbacks``.
+Every process with a compile hook is compiled (see
+:class:`repro.rtl.Component`); when compilation raises
+:class:`UnsupportedFeature` (for example a written signal that already
+carries a foreign driver) the process runs its event body instead and
+the fallback is counted on ``Simulator.compiled_fallbacks``.
 
 Known divergence (intra-delta only, invisible to waveforms): the
 commit wakes observers into the *following* delta cycle and marks
@@ -64,8 +64,9 @@ __all__ = ["Slot", "CompileError", "CombinationalCycleError",
 
 
 class CompileError(SimulationError):
-    """Raised when a component cannot be compiled (strict backend) or
-    to signal the ``auto`` backend to fall back to the event kernel."""
+    """Raised when a process cannot be compiled; the
+    :class:`UnsupportedFeature` subclass makes
+    :class:`repro.rtl.Component` fall back to the event kernel."""
 
 
 class CombinationalCycleError(CompileError):

@@ -11,10 +11,9 @@ direct delta evaluation.  Everything else (sensitivity lists, delta
 cycles, generator waits on clock edges) behaves identically, so the
 same RTL design runs under both schemes and E6 measures the gap.
 
-Since the hot-path overhaul the engine is also the *default* clocking
-scheme of the co-verification environment (it attaches itself to the
-simulator, and ``Simulator.run(until=...)`` delegates to it), with two
-further accelerations:
+The engine is also the clock of the co-verification environment (it
+attaches itself to the simulator, and ``Simulator.run(until=...)``
+delegates to it), with two further accelerations:
 
 * the initial clock level is primed during initialisation exactly like
   the generator clock's first drive, so the two schemes are
@@ -51,9 +50,10 @@ class CycleEngine:
         clk: the clock signal (must have no other driver).
         period: clock period in ticks.
         duty_ticks: high time in ticks (default ``period // 2``).
-        attach: register the engine as *sim*'s clocking scheme so that
-            ``sim.run(until=...)`` is engine-driven (the default; pass
-            ``False`` to keep the engine purely manual).
+
+    The engine registers itself as *sim*'s clock, so
+    ``sim.run(until=...)`` is engine-driven too (at most one engine per
+    simulator).
 
     Example:
         >>> sim = Simulator()
@@ -65,8 +65,7 @@ class CycleEngine:
     """
 
     def __init__(self, sim: Simulator, clk: Signal, period: int,
-                 duty_ticks: Optional[int] = None,
-                 attach: bool = True) -> None:
+                 duty_ticks: Optional[int] = None) -> None:
         if period < 2:
             raise ValueError("clock period must be >= 2 ticks")
         high = duty_ticks if duty_ticks is not None else period // 2
@@ -98,8 +97,7 @@ class CycleEngine:
         # CellSender's waveform fast path) can place transitions on
         # edges of this clock; _prime() refreshes the anchor.
         sim._register_clock(clk, period, sim.now + self.low_ticks)
-        if attach:
-            sim._attach_engine(self)
+        sim._attach_engine(self)
 
     # ------------------------------------------------------------------
     # Driving

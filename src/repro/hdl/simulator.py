@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Callable, Dict, Generator, List, Optional, Sequence, \
     Tuple
 
@@ -176,14 +175,18 @@ class Simulator:
         #: context manager, wrapped around every :meth:`run` call (see
         #: :func:`repro.obs.profile.attach_profiling`)
         self.profile: Optional[Callable[[], object]] = None
-        #: default RTL component backend ("event" | "compiled" |
-        #: "auto"); components resolve ``backend=None`` against this.
-        #: Overridable per run via the REPRO_RTL_BACKEND env var.
-        self.rtl_backend = os.environ.get("REPRO_RTL_BACKEND", "auto")
+        #: where RTL components built on this simulator land their
+        #: processes: "compiled" levelizes every process that has a
+        #: compile hook (falling back to its event body, counted on
+        #: :attr:`compiled_fallbacks`, when the compile is refused);
+        #: "event" keeps every process on the event kernel — the
+        #: oracle side of the equivalence tests.  Read by
+        #: ``repro.rtl.Component`` when a process is registered.
+        self.rtl_backend = "compiled"
         #: clock-signal id -> CompiledKernel (see repro.hdl.compiled)
         self._compiled_kernels: Dict[int, object] = {}
-        #: components that requested backend="auto" but fell back to
-        #: the event kernel (UnsupportedFeature during compile)
+        #: processes whose compile was refused (UnsupportedFeature)
+        #: and that run their event body instead
         self.compiled_fallbacks = 0
 
         # statistics

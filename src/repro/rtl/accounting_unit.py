@@ -64,9 +64,8 @@ class AccountingUnitRtl(Component):
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  rx: Optional[CellStreamPort] = None,
                  table_size: int = 64,
-                 bug: Optional[str] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 bug: Optional[str] = None) -> None:
+        super().__init__(sim, name)
         if bug is not None and bug not in _KNOWN_BUGS:
             raise ValueError(
                 f"unknown bug {bug!r}; known: {_KNOWN_BUGS}")

@@ -12,17 +12,15 @@ RTL DUTs and by CASTANET's co-simulation entity:
 * ``cellsync``    — '1' together with octet 0 of each cell,
 * ``valid``       — '1' while an octet is present.
 
-Playback modes (the 1:400-granularity hot path): driving one cell
-costs the generator path 53 process resumptions and ~159 ``drive()``
-calls.  The *bulk* path instead compiles each cell image once into a
-cached transition template and plays it back through a single
+Bulk playback (the 1:400-granularity hot path): a behavioural
+generator that drives one octet per clock costs 53 process resumptions
+and ~159 ``drive()`` calls per cell.  :class:`CellSender` instead
+compiles each cell image once into a cached transition template and
+plays it back through a single
 :meth:`repro.hdl.Simulator.schedule_waveform` call — one dict lookup
-plus one bulk insert per cell, trace-identical to the generator path
-(the equivalence suite in ``tests/rtl/test_bulk_equiv.py`` compares
-the VCDs).  ``playback="auto"`` (default) selects bulk when the clock
-geometry is registered (``sim.add_clock`` or an attached
-:class:`~repro.hdl.cycle.CycleEngine`) and falls back to the generator
-otherwise.
+plus one bulk insert per cell, trace-identical to the generator
+(:class:`repro.reference.GeneratorCellSender` is that generator, kept
+as the oracle; ``tests/rtl/test_bulk_equiv.py`` compares the VCDs).
 """
 
 from __future__ import annotations
@@ -108,47 +106,39 @@ class CellSender(Component):
     is empty.  ``gap_octets`` adds that many idle clocks between
     consecutive cells (inter-cell spacing).
 
-    ``playback`` selects the drive machinery:
-
-    * ``"bulk"`` — each cell is compiled into a cached waveform
-      template (memoised by octet tuple and edge spacing, including
-      the ``cellsync``/``valid`` control schedule and the idle
-      trailer) and injected with one ``schedule_waveform`` call; no
-      process resumption per clock.  Requires a registered clock
-      geometry on *clk*.
-    * ``"generator"`` — the behavioural generator process (the seed
-      path, kept as the equivalence reference).  When idle it parks on
-      an internal queue-refill event instead of polling every edge.
-    * ``"auto"`` (default) — resolve at initialisation: bulk when
-      ``sim.clock_spec(clk)`` is known, generator otherwise.
+    Each cell is compiled into a cached waveform template (memoised by
+    octet tuple and edge spacing, including the ``cellsync``/``valid``
+    control schedule and the idle trailer) and injected with one
+    ``schedule_waveform`` call; no process resumption per clock.  That
+    needs the clock geometry of *clk*, so the clock must be registered
+    (``sim.add_clock`` or a :class:`~repro.hdl.cycle.CycleEngine`)
+    before the sender is built.
     """
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  port: Optional[CellStreamPort] = None,
-                 gap_octets: int = 0,
-                 playback: str = "auto") -> None:
+                 gap_octets: int = 0) -> None:
         super().__init__(sim, name)
+        if sim.clock_spec(clk) is None:
+            raise ValueError(
+                f"CellSender {name!r}: no clock is registered on signal "
+                f"{clk.name!r}; call sim.add_clock(clk, period) or "
+                "build a CycleEngine(sim, clk, period) first")
         self.port = port if port is not None else CellStreamPort(sim, name)
         self.gap_octets = gap_octets
         self.clk = clk
-        self._queue: Deque[Sequence[int]] = deque()
+        #: cells sent before initialisation, flushed by :meth:`_start`
+        self._queue: Deque[List[int]] = deque()
+        self._started = False
         self.cells_sent = 0
         #: optional observer invoked after a cell's last octet has been
         #: driven (used for per-cell ingress-latency accounting)
         self.on_cell_sent: Optional[Callable[[], None]] = None
         #: optional profiling hook — a zero-arg callable returning a
-        #: context manager, wrapped around every bulk cell compilation
+        #: context manager, wrapped around every cell compilation
         #: (see :func:`repro.obs.profile.attach_profiling`)
         self.profile: Optional[Callable[[], object]] = None
-        if playback not in ("auto", "bulk", "generator"):
-            raise ValueError(
-                f"playback must be 'auto', 'bulk' or 'generator', "
-                f"got {playback!r}")
-        #: resolved playback mode ("bulk"/"generator"; None while an
-        #: "auto" sender waits for its first process run to decide)
-        self.playback: Optional[str] = None
-        # -- bulk-path state ------------------------------------------
-        self._bulk_driver = object()
+        self._driver = object()
         #: (octets, gap0) -> precompiled transition template
         self._template_cache: dict = {}
         self.template_hits = 0
@@ -157,23 +147,13 @@ class CellSender(Component):
         self._next_free_edge: Optional[int] = None
         #: cells scheduled as waveforms whose trailer has not played
         self._inflight = 0
-        # -- generator-path state -------------------------------------
-        #: queue-refill parking signal (created lazily: only the
-        #: generator path needs it, and only once it first idles)
-        self._refill: Optional[Signal] = None
-        self._refill_level = False
-
-        if playback == "bulk":
-            if sim.clock_spec(clk) is None:
-                raise ValueError(
-                    f"CellSender {name!r}: playback='bulk' needs a "
-                    "registered clock on its clk signal (sim.add_clock "
-                    "or an attached CycleEngine)")
-            self.playback = "bulk"
-            self._drive_idle_bulk()
+        if sim._initialized:
+            self._start(sim)
         else:
-            self._force_generator = (playback == "generator")
-            sim.add_generator(f"{name}.sender", self._run())
+            # Scheduling is run-phase work: cells sent while the bench
+            # is being built wait in the queue and are scheduled inside
+            # sim.initialize(), by this one-shot process.
+            sim.add_process(f"{name}.sender", self._start)
 
     # ------------------------------------------------------------------
     # Public API
@@ -183,100 +163,41 @@ class CellSender(Component):
         if len(octets) != CELL_OCTETS:
             raise ValueError(
                 f"a cell is {CELL_OCTETS} octets, got {len(octets)}")
-        if self.playback == "bulk":
+        if self._started:
             self._schedule_cell(tuple(octets))
-            return
-        self._queue.append(list(octets))
-        if self._refill is not None:
-            # Wake the parked generator (it re-syncs to the next edge).
-            self._refill_level = not self._refill_level
-            self.sim._schedule_update(
-                self._refill, self._bulk_driver,
-                "1" if self._refill_level else "0", 0)
+        else:
+            self._queue.append(list(octets))
 
     @property
     def backlog(self) -> int:
-        """Cells queued but not yet fully transmitted (bulk-scheduled
-        cells count until their idle trailer has played)."""
+        """Cells queued but not yet fully transmitted (scheduled cells
+        count until their idle trailer has played)."""
         return len(self._queue) + self._inflight
 
     # ------------------------------------------------------------------
-    # Generator path (and "auto" resolution)
+    # Internals
     # ------------------------------------------------------------------
-    def _run(self):
-        sim = self.sim
-        clk = self.clk
-        if not self._force_generator:
-            spec = sim.clock_spec(clk)
-            if spec is not None:
-                # Auto-resolution at the first process run (during
-                # sim.initialize()): the clock geometry is known, so
-                # promote to bulk playback and flush the queue.  The
-                # first queued cell reproduces the generator's
-                # initialisation timing (octet 0 applied at the
-                # current time, before the first edge).
-                self.playback = "bulk"
-                if not self._queue:
-                    # Establish the idle levels exactly like the
-                    # generator's first run would.
-                    self._drive_idle_bulk()
-                first = True
-                while self._queue:
-                    self._schedule_cell(tuple(self._queue.popleft()),
-                                        at_now=first)
-                    first = False
-                return
-        self.playback = "generator"
-        edge = RisingEdge(clk)
+    def _start(self, _sim: Simulator) -> None:
+        """Initialisation: establish the idle levels, or schedule the
+        cells queued so far — the first with octet 0 applied at the
+        current time, before the first edge, where a generator's first
+        run would drive it."""
+        self._started = True
         queue = self._queue
-        atmdata = self.port.atmdata
-        cellsync = self.port.cellsync
-        valid = self.port.valid
-        while True:
-            if not queue:
-                self._drive_idle()
-                # Park until send() refills the queue, then re-sync to
-                # the clock: the next octet is driven after the first
-                # edge following the refill, exactly like the seed's
-                # per-edge polling loop — without one process
-                # resumption per idle clock.
-                if self._refill is None:
-                    self._refill = self.sim.signal(
-                        f"{self.name}.refill", init="0")
-                yield self._refill
-                yield edge
-                continue
-            octets = queue.popleft()
-            # Drive one octet after each rising edge; the consumer
-            # samples it on the following edge.
-            for index, octet in enumerate(octets):
-                atmdata.drive(octet)
-                cellsync.drive("1" if index == 0 else "0")
-                valid.drive("1")
-                yield edge
-            self.cells_sent += 1
-            if self.on_cell_sent is not None:
-                self.on_cell_sent()
+        if not queue:
             self._drive_idle()
-            for _ in range(self.gap_octets):
-                yield edge
+        at_now = True
+        while queue:
+            self._schedule_cell(tuple(queue.popleft()), at_now)
+            at_now = False
 
     def _drive_idle(self) -> None:
-        self.port.valid.drive("0")
-        self.port.cellsync.drive("0")
-
-    def _drive_idle_bulk(self) -> None:
-        """Idle levels via the bulk driver identity (the bulk path must
-        never mix drivers on the port — two drivers would resolve to
-        'X')."""
+        """Idle levels, through the same driver identity as the cell
+        waveforms (two drivers on the port would resolve to 'X')."""
         sim = self.sim
-        sim._schedule_update(self.port.valid, self._bulk_driver, "0", 0)
-        sim._schedule_update(self.port.cellsync, self._bulk_driver,
-                             "0", 0)
+        sim._schedule_update(self.port.valid, self._driver, "0", 0)
+        sim._schedule_update(self.port.cellsync, self._driver, "0", 0)
 
-    # ------------------------------------------------------------------
-    # Bulk path
-    # ------------------------------------------------------------------
     def _schedule_cell(self, octets: Tuple[int, ...],
                        at_now: bool = False) -> None:
         profile = self.profile
@@ -289,21 +210,21 @@ class CellSender(Component):
     def _schedule_cell_impl(self, octets: Tuple[int, ...],
                             at_now: bool) -> None:
         sim = self.sim
-        period, first_rise = sim.clock_spec(self.clk)
+        period = sim.clock_spec(self.clk)[0]
         now = sim.now
         free = self._next_free_edge
         if free is not None and free > now:
             # Chained behind the previous cell (back-to-back or gap).
             base, gap0 = free, period
-        elif at_now or (not sim._initialized and now < first_rise):
-            # Initialisation-time send: the generator drives octet 0
+        elif at_now:
+            # Initialisation-time send: a generator drives octet 0
             # during its first run, before the first edge.
             base = now
             gap0 = sim.next_rising_edge(self.clk, after=now) - now
         else:
             # Idle pick-up: octet 0 lands after the next rising edge
-            # strictly beyond the current time (where the parked
-            # generator would resume).
+            # strictly beyond the current time (where a generator
+            # parked on the empty queue would resume).
             base = sim.next_rising_edge(self.clk, after=now)
             gap0 = period
         key = (octets, gap0)
@@ -320,7 +241,7 @@ class CellSender(Component):
         transitions, trailer_offset = template
         self._inflight += 1
         sim.schedule_waveform(
-            transitions, start=base, driver=self._bulk_driver,
+            transitions, start=base, driver=self._driver,
             callbacks=((trailer_offset, self._cell_done),),
             normalized=True)
         self._next_free_edge = (base + trailer_offset
@@ -395,7 +316,7 @@ class CellSender(Component):
 
     def _cell_done(self) -> None:
         """Waveform completion hook: the cell's last octet has been
-        driven (the generator path's end-of-cell bookkeeping)."""
+        driven."""
         self._inflight -= 1
         self.cells_sent += 1
         if self.on_cell_sent is not None:
@@ -413,17 +334,17 @@ class CellReceiver(Component):
     parks on ``valid``'s rising edge instead of sampling every clock —
     idle gaps cost no process runs (the edge-gated idle loop).
 
-    On the compiled backend the receiver is instead levelized into the
-    clock's kernel: one straight-line sample per rising edge, with the
+    When compiled, the receiver is instead levelized into the clock's
+    kernel: one straight-line sample per rising edge, with the
     same per-edge observations as the generator (idle edges where the
     generator parks are exactly the edges whose sample is a no-op).
     """
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  port: CellStreamPort,
-                 on_cell: Optional[Callable[[List[int]], None]] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 on_cell: Optional[Callable[[List[int]], None]] = None
+                 ) -> None:
+        super().__init__(sim, name)
         self.port = port
         self.on_cell = on_cell
         self.cells: List[List[int]] = []
@@ -433,9 +354,9 @@ class CellReceiver(Component):
         self._valid = port.valid
         self._cellsync = port.cellsync
         self._atmdata = port.atmdata
-        # The event path is a generator (with edge-gated idle parking),
-        # not a clocked callback, so the backend dispatch is inlined
-        # here instead of going through Component.clocked().
+        # The event body is a generator (with edge-gated idle parking),
+        # not a clocked callback, so it is registered here instead of
+        # through Component.clocked().
         if self._register_compiled(clk, "receiver", self._compile_seq,
                                    "seq"):
             self.backends["receiver"] = "compiled"

@@ -7,54 +7,36 @@ components expose port signals, all state changes happen in clocked
 processes, and combinational outputs are driven with zero (delta)
 delay.
 
-Since the compiled-backend work, every component carries a *backend*:
-
-``"event"``
-    processes run on the event kernel (per-event callbacks), always.
-``"compiled"``
-    processes that provide a compile hook are levelized into the
-    clock's :class:`repro.hdl.CompiledKernel`; a missing hook or a
-    failed compile raises :class:`repro.hdl.CompileError`.
-``"auto"`` (the simulator default)
-    compile when possible, silently fall back to the event kernel on
-    :class:`repro.hdl.UnsupportedFeature` (the fallback is counted on
-    ``Simulator.compiled_fallbacks``).
-
-``backend=None`` inherits ``Simulator.rtl_backend`` (settable via the
-``REPRO_RTL_BACKEND`` environment variable).  ``self.backends`` maps
-each registered process name to the backend it actually landed on.
+A process that provides a compile hook is levelized into the clock's
+:class:`repro.hdl.CompiledKernel`; without a hook, or when the compile
+raises :class:`repro.hdl.UnsupportedFeature` (counted on
+``Simulator.compiled_fallbacks``), its event body runs on the event
+kernel instead.  ``self.backends`` maps each registered process name to
+where it landed (``"compiled"`` or ``"event"``).  The event bodies are
+also the oracle the compiled twins are tested against: a test sets
+``Simulator.rtl_backend = "event"`` before building its components to
+keep every process on the event kernel.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from ..hdl.compiled import (CompileContext, CompileError,
-                            UnsupportedFeature, compile_kernel)
+from ..hdl.compiled import (CompileContext, UnsupportedFeature,
+                            compile_kernel)
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 
 __all__ = ["Component"]
 
-_BACKENDS = ("event", "compiled", "auto")
-
 
 class Component:
     """Base class: named signal factory + clocked-process helper."""
 
-    def __init__(self, sim: Simulator, name: str,
-                 backend: Optional[str] = None) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        if backend is None:
-            backend = sim.rtl_backend
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"{name}: backend must be one of {_BACKENDS}, "
-                f"got {backend!r}")
-        #: requested backend ("event" | "compiled" | "auto")
-        self.backend = backend
-        #: process name -> backend it actually landed on
+        #: process name -> where it landed ("compiled" | "event")
         self.backends: Dict[str, str] = {}
 
     def signal(self, local_name: str, width: Optional[int] = None,
@@ -66,21 +48,20 @@ class Component:
     def _register_compiled(self, clk: Signal, name: str,
                            compile_fn: Optional[Callable],
                            kind: str) -> bool:
-        """Try to land process *name* on the compiled backend.
+        """Try to land process *name* on the compiled kernel of *clk*.
 
         Returns True on success, False when the event kernel should
-        host it instead (backend "event", no hook, or an ``auto``
-        fallback — which is counted); re-raises compile failures for
-        the strict ``"compiled"`` backend.
+        host it instead: no hook, a compile that raised
+        :class:`~repro.hdl.UnsupportedFeature` (counted as a fallback),
+        or a simulator whose ``rtl_backend`` is ``"event"``.
         """
         label = f"{self.name}.{name}"
-        if self.backend == "event":
-            return False
-        if compile_fn is None:
-            if self.backend == "compiled":
-                raise CompileError(
-                    f"{label}: backend='compiled' but the component "
-                    "provides no compile hook")
+        backend = self.sim.rtl_backend
+        if backend not in ("compiled", "event"):
+            raise ValueError(
+                f"{label}: Simulator.rtl_backend must be 'compiled' or "
+                f"'event', got {backend!r}")
+        if backend == "event" or compile_fn is None:
             return False
         try:
             kernel = compile_kernel(self.sim, clk)
@@ -89,8 +70,6 @@ class Component:
             else:
                 kernel.add_comb(label, compile_fn)
         except UnsupportedFeature:
-            if self.backend == "compiled":
-                raise
             self.sim.compiled_fallbacks += 1
             return False
         kernel.components += 1
@@ -109,10 +88,10 @@ class Component:
         does not dispatch the process at all; the guard stays as a
         belt-and-braces check for the initialisation run.
 
-        *compile_fn* is the optional compiled-backend twin: a builder
-        that receives a :class:`repro.hdl.CompileContext` and returns
-        the levelized evaluation callable.  Whether it is used depends
-        on the component's backend (see the module docstring).
+        *compile_fn* is the optional compiled twin: a builder that
+        receives a :class:`repro.hdl.CompileContext` and returns the
+        levelized evaluation callable (see the module docstring for
+        when *body* runs instead).
         """
         if self._register_compiled(clk, name, compile_fn, "seq"):
             self.backends[name] = "compiled"
@@ -136,8 +115,8 @@ class Component:
         """Register *body* to run on any event of *inputs* (and once at
         initialisation), like a combinational VHDL process.
 
-        When *clk* and *compile_fn* are given, the compiled backend
-        levelizes the process into *clk*'s kernel instead (inputs must
+        When *clk* and *compile_fn* are given, the process is
+        levelized into *clk*'s kernel instead (inputs must
         be written inside the same kernel; see
         :meth:`repro.hdl.CompiledKernel.add_comb`).
         """

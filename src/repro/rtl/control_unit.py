@@ -54,9 +54,8 @@ class GlobalControlUnitRtl(Component):
     """
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
-                 num_clients: int = 4, lookup_latency: int = 4,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 num_clients: int = 4, lookup_latency: int = 4) -> None:
+        super().__init__(sim, name)
         if num_clients < 1:
             raise ValueError(f"need >= 1 client, got {num_clients}")
         if lookup_latency < 1:

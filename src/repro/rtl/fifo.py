@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from typing import Optional
-
 from ..hdl.compiled import slot_int
 from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
@@ -36,9 +34,8 @@ class SyncFifo(Component):
     """
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
-                 width: int, depth: int,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 width: int, depth: int) -> None:
+        super().__init__(sim, name)
         if depth < 1:
             raise ValueError(f"FIFO depth must be >= 1, got {depth}")
         self.width = width

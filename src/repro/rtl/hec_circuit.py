@@ -8,8 +8,6 @@ the paper's reference-model-vs-DUT methodology at unit scale).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..hdl.compiled import slot_int
 from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
@@ -43,9 +41,8 @@ class HecGenerator(Component):
             fourth octet was accepted.
     """
 
-    def __init__(self, sim: Simulator, name: str, clk: Signal,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+    def __init__(self, sim: Simulator, name: str, clk: Signal) -> None:
+        super().__init__(sim, name)
         self.d = self.signal("d", width=8, init=0)
         self.d_valid = self.signal("d_valid", init="0")
         self.sof = self.signal("sof", init="0")
@@ -105,9 +102,8 @@ class HecChecker(Component):
             of them fires.
     """
 
-    def __init__(self, sim: Simulator, name: str, clk: Signal,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+    def __init__(self, sim: Simulator, name: str, clk: Signal) -> None:
+        super().__init__(sim, name)
         self.d = self.signal("d", width=8, init=0)
         self.d_valid = self.signal("d_valid", init="0")
         self.sof = self.signal("sof", init="0")

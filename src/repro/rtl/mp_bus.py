@@ -149,9 +149,8 @@ class AccountingMgmtSlave(Component):
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  unit: AccountingUnitRtl,
-                 port: Optional[MpBusSlavePort] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 port: Optional[MpBusSlavePort] = None) -> None:
+        super().__init__(sim, name)
         self.unit = unit
         self.port = port if port is not None \
             else MpBusSlavePort(sim, f"{name}.bus")

@@ -71,9 +71,8 @@ class UpcPolicerRtl(Component):
                  rx: Optional[CellStreamPort] = None,
                  tx: Optional[CellStreamPort] = None,
                  action: str = "drop",
-                 bug: Optional[str] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 bug: Optional[str] = None) -> None:
+        super().__init__(sim, name)
         if action not in ("drop", "tag"):
             raise ValueError(f"unknown UPC action {action!r}")
         if bug is not None and bug not in _KNOWN_BUGS:

@@ -45,9 +45,8 @@ class AtmPortModuleRtl(Component):
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  rx: Optional[CellStreamPort] = None,
-                 tx: Optional[CellStreamPort] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 tx: Optional[CellStreamPort] = None) -> None:
+        super().__init__(sim, name)
         self.rx = rx if rx is not None else CellStreamPort(sim, f"{name}.rx")
         self.tx = tx if tx is not None else CellStreamPort(sim, f"{name}.tx")
         #: (vpi, vci) -> (out_vpi, out_vci); the translation RAM.

@@ -24,8 +24,8 @@ class Register(Component):
     def __init__(self, sim: Simulator, name: str, clk: Signal, d: Signal,
                  enable: Optional[Signal] = None,
                  reset: Optional[Signal] = None,
-                 reset_value=0, backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 reset_value=0) -> None:
+        super().__init__(sim, name)
         self.d = d
         self.q = self.signal("q", width=d.width)
         self.enable = enable
@@ -71,9 +71,8 @@ class Counter(Component):
 
     def __init__(self, sim: Simulator, name: str, clk: Signal, width: int,
                  enable: Optional[Signal] = None,
-                 reset: Optional[Signal] = None,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 reset: Optional[Signal] = None) -> None:
+        super().__init__(sim, name)
         if width < 1:
             raise ValueError(f"counter width must be >= 1, got {width}")
         self.width = width

@@ -18,7 +18,7 @@ each other in ``tests/rtl/test_switch_fabric.py``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from ..hdl.compiled import slot_int
 from ..hdl.logic import vector_to_int
@@ -67,9 +67,8 @@ class AtmSwitchRtl(Component):
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
                  num_ports: int = 4, lookup_latency: int = 4,
-                 queue_depth: int = 16,
-                 backend: Optional[str] = None) -> None:
-        super().__init__(sim, name, backend=backend)
+                 queue_depth: int = 16) -> None:
+        super().__init__(sim, name)
         if num_ports < 1:
             raise ValueError(f"need >= 1 port, got {num_ports}")
         if queue_depth < 1:
@@ -78,8 +77,7 @@ class AtmSwitchRtl(Component):
         self.queue_depth = queue_depth
         self.gcu = GlobalControlUnitRtl(sim, f"{name}.gcu", clk,
                                         num_clients=num_ports,
-                                        lookup_latency=lookup_latency,
-                                        backend=self.backend)
+                                        lookup_latency=lookup_latency)
         self.rx_ports = [CellStreamPort(sim, f"{name}.p{i}.rx")
                          for i in range(num_ports)]
         self.tx_ports = [CellStreamPort(sim, f"{name}.p{i}.tx")

@@ -371,14 +371,12 @@ class LocalShardHandle(_HandleBase):
 
     def __init__(self, shard_id: str, num_ports: int = 4,
                  level: str = "auto", accounting: bool = True,
-                 clocking: str = "cycle", observe: bool = False,
-                 trace=None) -> None:
+                 observe: bool = False, trace=None) -> None:
         super().__init__(shard_id, num_ports)
         self.group = ShardGroup(shard_id, level=level,
                                 num_ports=num_ports,
                                 accounting=accounting,
-                                clocking=clocking, observe=observe,
-                                trace=trace)
+                                observe=observe, trace=trace)
 
     def flush(self) -> None:
         """Replay all queued ops into the local group (through the

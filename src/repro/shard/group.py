@@ -51,8 +51,6 @@ class ShardGroup:
             shape).
         accounting: couple an accounting unit metering the ingress
             stream (default True).
-        clocking: HDL clocking scheme for RTL shards
-            ("cycle" | "event").
         observe: enable the metrics registry (off by default — shards
             report sync stats regardless; full instrument histograms
             are opt-in).
@@ -63,13 +61,12 @@ class ShardGroup:
 
     def __init__(self, shard_id: str, level: str = "auto",
                  num_ports: int = 4, accounting: bool = True,
-                 clocking: str = "cycle", observe: bool = False,
-                 trace=None) -> None:
+                 observe: bool = False, trace=None) -> None:
         self.shard_id = shard_id
         self.num_ports = num_ports
         self.env = CoVerificationEnvironment(
-            name=f"shard.{shard_id}", clocking=clocking,
-            observe=observe, trace=trace, dut_level=level)
+            name=f"shard.{shard_id}", observe=observe, trace=trace,
+            dut_level=level)
         #: the environment's provenance tracker (None when neither
         #: observe nor trace is on) — wire-stamped trace ids feed it
         self.prov = self.env.provenance

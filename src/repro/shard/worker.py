@@ -45,7 +45,7 @@ __all__ = ["shard_worker_main", "shard_worker_socket_main",
 def build_group(config: Dict[str, Any]) -> ShardGroup:
     """Construct the worker's :class:`ShardGroup` from the shipped
     shard config (``id``/``level``/``num_ports``/``accounting``/
-    ``clocking``/``observe``/``trace_file``)."""
+    ``observe``/``trace_file``)."""
     trace: Optional[TraceWriter] = None
     trace_file = config.get("trace_file")
     shard_id = config.get("id", "shard0")
@@ -58,7 +58,6 @@ def build_group(config: Dict[str, Any]) -> ShardGroup:
         level=config.get("level", "auto"),
         num_ports=int(config.get("num_ports", 4)),
         accounting=bool(config.get("accounting", True)),
-        clocking=config.get("clocking", "cycle"),
         observe=bool(config.get("observe", False)),
         trace=trace)
 
@@ -102,8 +101,7 @@ def _warm_replay(config: Dict[str, Any]) -> None:
     scratch = ShardGroup(
         "warmup", level=config.get("level", "auto"),
         num_ports=int(config.get("num_ports", 4)),
-        accounting=bool(config.get("accounting", True)),
-        clocking=config.get("clocking", "cycle"))
+        accounting=bool(config.get("accounting", True)))
     batch = OpBatch()
     cell = bytes(53)
     for i in range(32):

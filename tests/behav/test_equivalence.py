@@ -9,6 +9,7 @@ surface (output cells, records, policing verdicts, counters) via
 import pytest
 
 from repro.behav import KINDS, run_equivalence, run_kind
+from repro.reference import EventClockedEnvironment
 from repro.sweep import SweepSpec, run_sweep
 
 
@@ -21,12 +22,16 @@ def _explain(entry):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_kind_equivalence_cycle_clocking(kind, seed):
-    entry = run_kind(kind, cells=48, seed=seed, clocking="cycle")
+    entry = run_kind(kind, cells=48, seed=seed)
     assert entry["passed"], _explain(entry)
 
 
-def test_full_suite_under_event_clocking():
-    report = run_equivalence(cells=32, seed=3, clocking="event")
+def test_full_suite_under_event_clocking(monkeypatch):
+    """The same suite with the RTL side on the reference module's
+    event-clocked environment."""
+    monkeypatch.setattr("repro.behav.equiv.CoVerificationEnvironment",
+                        EventClockedEnvironment)
+    report = run_equivalence(cells=32, seed=3)
     assert report["passed"], {
         kind: _explain(entry)
         for kind, entry in report["duts"].items()

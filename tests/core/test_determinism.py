@@ -8,14 +8,15 @@ this repository quietly depends on.
 
 from repro.atm import AtmCell
 from repro.core import CoVerificationEnvironment
+from repro.reference import EventClockedEnvironment
 from repro.rtl import AtmPortModuleRtl
 from repro.traffic import (MarkovModulatedPoisson, PoissonArrivals,
                            TrafficSource)
 from repro.netsim import Network, SinkModule
 
 
-def run_coverification_once(clocking="cycle"):
-    env = CoVerificationEnvironment(clocking=clocking)
+def run_coverification_once(environment=CoVerificationEnvironment):
+    env = environment()
     dut = AtmPortModuleRtl(env.hdl, "dut", env.clk)
     dut.install(1, 100, 2, 200)
     entity = env.add_dut(rx_port=dut.rx, tx_port=dut.tx)
@@ -43,11 +44,11 @@ def test_full_coverification_run_is_reproducible():
 
 def test_clocking_schemes_are_trace_identical():
     """Kernel-equivalence regression: the fast-dispatch cycle engine
-    (the default since the hot-path overhaul) and the seed event-driven
-    generator clock must yield byte-identical DUT output cell streams,
+    and the event-driven generator clock it replaced (the reference
+    environment) must yield byte-identical DUT output cell streams,
     identical timestamps and identical kernel event counts."""
-    cycle = run_coverification_once(clocking="cycle")
-    event = run_coverification_once(clocking="event")
+    cycle = run_coverification_once()
+    event = run_coverification_once(EventClockedEnvironment)
     assert cycle[0] == event[0]     # (time, octets) byte-identical
     assert len(cycle[0]) == 20
     assert cycle[1] == event[1]     # same kernel events executed

@@ -2,7 +2,7 @@
 
 Covers the compile-time contracts: levelization order, combinational
 cycle diagnostics (the error names the looping signals), unsupported
-feature fallback per component, strict-backend failures, late
+feature fallback per component, the event-only selector, late
 compilation after the simulator has initialized, and the kernel's
 statistics surface.
 """
@@ -18,8 +18,10 @@ from repro.rtl import Component
 PERIOD = 10
 
 
-def make_sim(clocking="cycle"):
+def make_sim(clocking="cycle", backend=None):
     sim = Simulator()
+    if backend is not None:
+        sim.rtl_backend = backend
     clk = sim.signal("clk", init="0")
     if clocking == "cycle":
         CycleEngine(sim, clk, period=PERIOD)
@@ -31,9 +33,8 @@ def make_sim(clocking="cycle"):
 class Toggle(Component):
     """Minimal compiled component: q toggles every clock."""
 
-    def __init__(self, sim, name, clk, backend=None,
-                 compile_fn="default"):
-        super().__init__(sim, name, backend=backend)
+    def __init__(self, sim, name, clk, compile_fn="default"):
+        super().__init__(sim, name)
         self.q = self.signal("q", init="0")
         self._state = 0
         if compile_fn == "default":
@@ -226,17 +227,20 @@ def test_unresolved_forward_reference_fails_at_initialize():
 
 def test_backend_inherits_simulator_default():
     sim, clk = make_sim()
+    assert sim.rtl_backend == "compiled"
     sim.rtl_backend = "event"
     toggle = Toggle(sim, "t", clk)
-    assert toggle.backend == "event"
     assert toggle.backends["seq"] == "event"
     assert sim.stats_snapshot()["compiled_components"] == 0
+    assert sim.compiled_fallbacks == 0
+    sim.run(until=3 * PERIOD)
+    assert toggle.q.value == "1"
 
 
 def test_invalid_backend_rejected():
-    sim, clk = make_sim()
-    with pytest.raises(ValueError):
-        Toggle(sim, "t", clk, backend="vliw")
+    sim, clk = make_sim(backend="vliw")
+    with pytest.raises(ValueError, match="rtl_backend"):
+        Toggle(sim, "t", clk)
 
 
 def test_auto_fallback_counts_and_still_runs():
@@ -245,7 +249,7 @@ def test_auto_fallback_counts_and_still_runs():
     def refuse(_ctx):
         raise UnsupportedFeature("deliberately unsupported")
 
-    toggle = Toggle(sim, "t", clk, backend="auto", compile_fn=refuse)
+    toggle = Toggle(sim, "t", clk, compile_fn=refuse)
     assert toggle.backends["seq"] == "event"
     assert sim.compiled_fallbacks == 1
     sim.run(until=2 * PERIOD)
@@ -253,26 +257,11 @@ def test_auto_fallback_counts_and_still_runs():
     assert sim.stats_snapshot()["compiled_fallbacks"] == 1
 
 
-def test_strict_compiled_reraises_unsupported():
+def test_missing_hook_runs_event_body_uncounted():
     sim, clk = make_sim()
-
-    def refuse(_ctx):
-        raise UnsupportedFeature("deliberately unsupported")
-
-    with pytest.raises(UnsupportedFeature):
-        Toggle(sim, "t", clk, backend="compiled", compile_fn=refuse)
-
-
-def test_strict_compiled_requires_hook():
-    sim, clk = make_sim()
-    with pytest.raises(CompileError):
-        Toggle(sim, "t", clk, backend="compiled", compile_fn=None)
-
-
-def test_event_backend_ignores_hook():
-    sim, clk = make_sim()
-    toggle = Toggle(sim, "t", clk, backend="event")
+    toggle = Toggle(sim, "t", clk, compile_fn=None)
     assert toggle.backends["seq"] == "event"
+    assert sim.compiled_fallbacks == 0
     sim.run(until=3 * PERIOD)
     assert toggle.q.value == "1"
 
@@ -285,8 +274,10 @@ def test_event_backend_ignores_hook():
 def test_compiled_toggle_matches_event_toggle(clocking):
     traces = {}
     for backend in ("event", "compiled"):
-        sim, clk = make_sim(clocking)
-        toggle = Toggle(sim, "t", clk, backend=backend)
+        sim, clk = make_sim(clocking, backend)
+        toggle = Toggle(sim, "t", clk)
+        assert toggle.backends["seq"] == backend
+        assert sim.compiled_fallbacks == 0
         changes = []
         sim.signal_hooks.append(
             lambda s, changes=changes: changes.append(
@@ -300,8 +291,9 @@ def test_compiled_toggle_matches_event_toggle(clocking):
 def test_late_component_compiles_after_initialize():
     sim, clk = make_sim()
     sim.run(until=2 * PERIOD)
-    toggle = Toggle(sim, "late", clk, backend="compiled")
+    toggle = Toggle(sim, "late", clk)
     assert toggle.backends["seq"] == "compiled"
+    assert sim.compiled_fallbacks == 0
     sim.run(until=4 * PERIOD)
     assert toggle.q.value == "0"   # two edges seen -> toggled twice
     assert toggle.q.change_count >= 2
@@ -309,7 +301,8 @@ def test_late_component_compiles_after_initialize():
 
 def test_stats_snapshot_reports_compiled_activity():
     sim, clk = make_sim()
-    Toggle(sim, "t", clk, backend="compiled")
+    toggle = Toggle(sim, "t", clk)
+    assert toggle.backends["seq"] == "compiled"
     sim.run(until=4 * PERIOD)
     stats = sim.stats_snapshot()
     assert stats["compiled_components"] == 1
@@ -331,7 +324,7 @@ def test_idle_compiled_component_schedules_no_commit():
 
     class Idle(Component):
         def __init__(self, sim, name, clk):
-            super().__init__(sim, name, backend="compiled")
+            super().__init__(sim, name)
             self.q = self.signal("q", init="0")
             self.clocked(clk, lambda: self.q.drive("0"),
                          compile_fn=self._compile_seq)
@@ -340,7 +333,9 @@ def test_idle_compiled_component_schedules_no_commit():
             w_q = ctx.write(self.q)
             return lambda: w_q("0")
 
-    Idle(sim, "idle", clk)
+    idle = Idle(sim, "idle", clk)
+    assert idle.backends["seq"] == "compiled"
+    assert sim.compiled_fallbacks == 0
     sim.run(until=50 * PERIOD)
     baseline_runs = sim.process_runs
     sim.run(until=100 * PERIOD)
@@ -354,7 +349,9 @@ def test_runtime_foreign_driver_resolves_with_ieee_table():
     """A driver appearing on a compiled output *after* compilation is
     resolved through the IEEE-1164 table at commit time."""
     sim, clk = make_sim()
-    toggle = Toggle(sim, "t", clk, backend="compiled")
+    toggle = Toggle(sim, "t", clk)
+    assert toggle.backends["seq"] == "compiled"
+    assert sim.compiled_fallbacks == 0
     sim.run(until=PERIOD)
     assert toggle.q.value == "1"
     toggle.q.drive("0")            # anonymous test-bench contender

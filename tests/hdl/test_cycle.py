@@ -88,9 +88,9 @@ def test_invalid_configs():
     sim = Simulator()
     clk = sim.signal("clk", init="0")
     with pytest.raises(ValueError):
-        CycleEngine(sim, clk, period=1, attach=False)
+        CycleEngine(sim, clk, period=1)
     with pytest.raises(ValueError):
-        CycleEngine(sim, clk, period=10, duty_ticks=10, attach=False)
+        CycleEngine(sim, clk, period=10, duty_ticks=10)
 
 
 def test_only_one_engine_attaches():

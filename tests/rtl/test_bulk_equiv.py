@@ -1,8 +1,9 @@
-"""Bulk-vs-generator trace equivalence (the tentpole correctness bar).
+"""Bulk-vs-generator trace equivalence.
 
 The bulk waveform playback of :class:`CellSender` must be
-**trace-identical** to the behavioural generator path: identical cell
-sequences driven through both must produce equivalent VCD waveforms
+**trace-identical** to the behavioural generator it replaced, kept as
+:class:`repro.reference.GeneratorCellSender`: identical cell sequences
+driven through both must produce equivalent VCD waveforms
 (``compare_waveforms`` — final value per signal per timestamp) and the
 same received cells, on both the event-driven clock and the
 :class:`CycleEngine`.
@@ -12,29 +13,34 @@ import pytest
 
 from repro.hdl import (CycleEngine, Simulator, VcdData, VcdWriter,
                        compare_waveforms)
+from repro.reference import GeneratorCellSender
 from repro.rtl import CellReceiver, CellSender
 
 PERIOD = 10
 CLOCKINGS = ("event", "cycle")
-PLAYBACKS = ("generator", "bulk")
+SENDERS = {"generator": GeneratorCellSender, "bulk": CellSender}
 
 
-def make_cell(seed):
-    return [(seed * 7 + k) % 256 for k in range(53)]
-
-
-def run_scenario(tmp_path, tag, clocking, playback, gap_octets=0,
-                 cells=(), midrun_cells=(), until=4000):
-    """Drive *cells* (and *midrun_cells* from half-time) through a
-    sender/receiver pair, dumping the stream port to VCD."""
+def make_sim(clocking):
     sim = Simulator()
     clk = sim.signal("clk", init="0")
     if clocking == "event":
         sim.add_clock(clk, period=PERIOD)
     else:
         CycleEngine(sim, clk, period=PERIOD)
-    sender = CellSender(sim, "tx", clk, gap_octets=gap_octets,
-                        playback=playback)
+    return sim, clk
+
+
+def make_cell(seed):
+    return [(seed * 7 + k) % 256 for k in range(53)]
+
+
+def run_scenario(tmp_path, tag, clocking, sender_kind, gap_octets=0,
+                 cells=(), midrun_cells=(), until=4000):
+    """Drive *cells* (and *midrun_cells* from half-time) through a
+    sender/receiver pair, dumping the stream port to VCD."""
+    sim, clk = make_sim(clocking)
+    sender = SENDERS[sender_kind](sim, "tx", clk, gap_octets=gap_octets)
     received = []
     CellReceiver(sim, "rx", clk, sender.port,
                  on_cell=received.append)
@@ -46,15 +52,15 @@ def run_scenario(tmp_path, tag, clocking, playback, gap_octets=0,
         for cell in midrun_cells:
             sender.send(cell)
         sim.run(until=until)
-    assert sender.playback == playback
+    assert sender.cells_sent == len(received)
     return path, received
 
 
 def assert_equivalent(tmp_path, clocking, **kwargs):
     runs = {}
-    for playback in PLAYBACKS:
-        runs[playback] = run_scenario(
-            tmp_path, f"{clocking}_{playback}", clocking, playback,
+    for sender_kind in SENDERS:
+        runs[sender_kind] = run_scenario(
+            tmp_path, f"{clocking}_{sender_kind}", clocking, sender_kind,
             **kwargs)
     gen_path, gen_cells = runs["generator"]
     bulk_path, bulk_cells = runs["bulk"]
@@ -97,13 +103,8 @@ def test_midrun_sends_equivalent(tmp_path, clocking):
 
 @pytest.mark.parametrize("clocking", CLOCKINGS)
 def test_repeated_cell_uses_template_cache(tmp_path, clocking):
-    sim = Simulator()
-    clk = sim.signal("clk", init="0")
-    if clocking == "event":
-        sim.add_clock(clk, period=PERIOD)
-    else:
-        CycleEngine(sim, clk, period=PERIOD)
-    sender = CellSender(sim, "tx", clk, playback="bulk")
+    sim, clk = make_sim(clocking)
+    sender = CellSender(sim, "tx", clk)
     received = []
     CellReceiver(sim, "rx", clk, sender.port, on_cell=received.append)
     cell = make_cell(5)

@@ -16,8 +16,10 @@ import pytest
 from repro.atm import AtmCell
 from repro.hdl import (CycleEngine, Simulator, UnsupportedFeature,
                        VcdData, VcdWriter, compare_waveforms)
-from repro.rtl import (AtmPortModuleRtl, AtmSwitchRtl, CellReceiver,
-                       CellSender, CellStreamPort, UpcPolicerRtl)
+from repro.rtl import (AccountingMgmtSlave, AccountingUnitRtl,
+                       AtmPortModuleRtl, AtmSwitchRtl, CellReceiver,
+                       CellSender, CellStreamPort, Counter, HecChecker,
+                       HecGenerator, Register, SyncFifo, UpcPolicerRtl)
 
 PERIOD = 10
 CLOCKINGS = ("event", "cycle")
@@ -68,6 +70,7 @@ def test_port_module_equivalent(tmp_path, clocking):
                        [clk] + pm.rx.signals() + pm.tx.signals()):
             sim.run(until=5 * 53 * PERIOD + 400)
         assert pm.backends["seq"] == backend
+        assert sim.compiled_fallbacks == 0
         paths[backend] = path
         results[backend] = (receiver.cells, pm.cells_received,
                             pm.cells_translated,
@@ -94,6 +97,7 @@ def test_policer_equivalent(tmp_path, clocking):
                        [clk] + upc.rx.signals() + upc.tx.signals()):
             sim.run(until=6 * 53 * PERIOD + 400)
         assert upc.backends["seq"] == backend
+        assert sim.compiled_fallbacks == 0
         paths[backend] = path
         results[backend] = (receiver.cells, upc.cells_conforming,
                             upc.cells_non_conforming)
@@ -135,6 +139,7 @@ def test_switch_fabric_equivalent(tmp_path, clocking):
             sim.run(until=8 * 53 * PERIOD + 800)
         assert switch.backends["seq"] == backend
         assert switch.gcu.backends["seq"] == backend
+        assert sim.compiled_fallbacks == 0
         paths[backend] = path
         results[backend] = (
             [r.cells for r in receivers], switch.cells_received,
@@ -147,18 +152,55 @@ def test_switch_fabric_equivalent(tmp_path, clocking):
 
 
 # ---------------------------------------------------------------------------
+# Census: on a default simulator every shipped compile hook compiles
+# ---------------------------------------------------------------------------
+
+def test_every_shipped_component_compiles_on_a_default_simulator():
+    """No shipped component may reach the event kernel through the
+    silent fallback: on an untouched ``Simulator`` every process with
+    a compile hook lands on the compiled kernel."""
+    sim = Simulator()
+    assert sim.rtl_backend == "compiled"
+    clk = sim.signal("clk", init="0")
+    CycleEngine(sim, clk, period=PERIOD)
+    port_module = AtmPortModuleRtl(sim, "pm", clk)
+    switch = AtmSwitchRtl(sim, "sw", clk, num_ports=4)
+    accounting = AccountingUnitRtl(sim, "acct", clk)
+    components = [
+        port_module, switch, switch.gcu, accounting,
+        UpcPolicerRtl(sim, "upc", clk),
+        CellReceiver(sim, "mon", clk, port_module.tx),
+        SyncFifo(sim, "fifo", clk, width=8, depth=4),
+        Register(sim, "reg", clk, sim.signal("reg.d", width=8, init=0)),
+        Counter(sim, "count", clk, width=8),
+        HecGenerator(sim, "hecgen", clk),
+        HecChecker(sim, "hecchk", clk),
+        AccountingMgmtSlave(sim, "mgmt", clk, accounting),
+    ]
+    for component in components:
+        assert component.backends, component.name
+        assert set(component.backends.values()) == {"compiled"}, (
+            component.name, component.backends)
+    stats = sim.stats_snapshot()
+    assert stats["compiled_fallbacks"] == 0
+    assert stats["compiled_components"] == sum(
+        len(component.backends) for component in components)
+    sim.run(until=4 * PERIOD)                    # and the kernel runs
+
+
+# ---------------------------------------------------------------------------
 # Fallback behaviour
 # ---------------------------------------------------------------------------
 
 def test_unsupported_component_falls_back_and_matches(monkeypatch):
-    """auto + a compile hook that refuses -> event kernel hosts the
-    process, the run is unchanged, the fallback is counted."""
+    """A compile hook that refuses -> event kernel hosts the process,
+    the run is unchanged, the fallback is counted."""
     def refuse(self, ctx):
         raise UnsupportedFeature("forced for the fallback test")
 
     monkeypatch.setattr(AtmPortModuleRtl, "_compile_seq", refuse)
     cells_out = {}
-    for backend in ("event", "auto"):
+    for backend in BACKENDS:
         sim, clk = make_sim("cycle", backend)
         pm = AtmPortModuleRtl(sim, "pm", clk)
         pm.install(1, 100, 2, 200)
@@ -168,17 +210,17 @@ def test_unsupported_component_falls_back_and_matches(monkeypatch):
             sender.send(make_cell(1, 100, i))
         sim.run(until=4 * 53 * PERIOD)
         assert pm.backends["seq"] == "event"
-        expected = 1 if backend == "auto" else 0
+        expected = 1 if backend == "compiled" else 0
         assert sim.compiled_fallbacks == expected
         cells_out[backend] = receiver.cells
-    assert cells_out["auto"] == cells_out["event"]
+    assert cells_out["compiled"] == cells_out["event"]
     assert len(cells_out["event"]) == 2
 
 
 def test_contended_output_falls_back():
     """An output another compiled process already writes makes the
-    second component uncompilable -> auto falls back and counts it."""
-    sim, clk = make_sim("cycle", "auto")
+    second component uncompilable -> it falls back and is counted."""
+    sim, clk = make_sim("cycle", "compiled")
     first = AtmPortModuleRtl(sim, "a", clk)
     second = AtmPortModuleRtl(sim, "b", clk, tx=first.tx)
     assert first.backends["seq"] == "compiled"
@@ -188,7 +230,7 @@ def test_contended_output_falls_back():
 
 def test_testbench_driven_output_falls_back():
     """A test-bench driver on a would-be output blocks compilation."""
-    sim, clk = make_sim("cycle", "auto")
+    sim, clk = make_sim("cycle", "compiled")
     bundle = CellStreamPort(sim, "ext")
     bundle.valid.drive("0")                      # anonymous driver
     sim.run(until=PERIOD)
@@ -222,6 +264,8 @@ def test_randomized_switch_replay_equivalent(tmp_path, seed):
     for backend in BACKENDS:
         sim, clk = make_sim("cycle", backend)
         switch, senders, receivers = build_switch(sim, clk, num_ports)
+        assert switch.backends["seq"] == backend
+        assert sim.compiled_fallbacks == 0
         for port, cells in enumerate(traffic):
             for cell in cells:
                 senders[port].send(cell)
@@ -252,6 +296,8 @@ def test_compiled_run_is_byte_deterministic(tmp_path):
     for tag in ("one", "two"):
         sim, clk = make_sim("cycle", "compiled")
         switch, senders, _receivers = build_switch(sim, clk)
+        assert switch.backends["seq"] == "compiled"
+        assert sim.compiled_fallbacks == 0
         for port, cells in enumerate(random_traffic(42, 4, 12)):
             for cell in cells:
                 senders[port].send(cell)

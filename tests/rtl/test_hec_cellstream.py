@@ -154,28 +154,52 @@ class TestCellStream:
         with pytest.raises(ValueError):
             sender.send([0] * 54)
 
-    def test_sender_rejects_wrong_length_bulk(self):
-        sim, clk = make_clocked_sim()
-        sender = CellSender(sim, "tx", clk, playback="bulk")
-        with pytest.raises(ValueError):
-            sender.send([0] * 52)
-        with pytest.raises(ValueError):
-            sender.send([0] * 54)
-        assert sender.cells_sent == 0
+    def test_sender_needs_a_registered_clock(self):
+        """Without the clock geometry the sender cannot place cell
+        waveforms on edges; it must say so at construction, naming the
+        signal and both ways to register a clock."""
+        sim = Simulator()
+        clk = sim.signal("sysclk", init="0")
+        with pytest.raises(ValueError) as excinfo:
+            CellSender(sim, "tx", clk)
+        message = str(excinfo.value)
+        assert "'sysclk'" in message
+        assert "sim.add_clock" in message and "CycleEngine" in message
+        sim.add_clock(clk, period=10)
+        CellSender(sim, "tx", clk)                # now it builds
 
-    @pytest.mark.parametrize("playback", ["generator", "bulk"])
-    def test_idle_gap_costs_no_process_runs(self, playback):
+    def test_sends_before_initialize_schedule_during_it(self):
+        """The set-up/run split: cells sent while the bench is built
+        only queue; their waveforms are scheduled inside
+        ``sim.initialize()`` (part of the first ``run``), not in
+        ``send()``."""
+        sim, clk = make_clocked_sim()
+        sender = CellSender(sim, "tx", clk)
+        cells = [AtmCell.with_payload(1, i + 1, [i]).to_octets()
+                 for i in range(5)]
+        for octets in cells:
+            sender.send(octets)
+        assert sim.waveforms_scheduled == 0
+        assert sender.backlog == 5
+        sim.initialize()
+        assert sim.waveforms_scheduled == 5
+        assert sender.backlog == 5
+        sender.send(cells[0])                     # running: immediate
+        assert sim.waveforms_scheduled == 6
+
+    def test_idle_gap_costs_no_process_runs(self):
         """Edge gating: an idle link must not burn process dispatches.
 
         The receiver parks on the next rising edge of ``valid`` and the
-        sender parks on the queue-refill event, so a long idle stretch
-        after the last cell adds zero process runs (the CycleEngine has
-        no clock process of its own, making the floor exact)."""
+        sender has no process after initialisation, so a long idle
+        stretch after the last cell adds zero process runs (the
+        CycleEngine has no clock process of its own, making the floor
+        exact)."""
         from repro.hdl import CycleEngine
         sim = Simulator()
         clk = sim.signal("clk", init="0")
         CycleEngine(sim, clk, period=10)
-        sender = CellSender(sim, "tx", clk, playback=playback)
+        sender = CellSender(sim, "tx", clk)
         receiver = CellReceiver(sim, "rx", clk, sender.port)
         sender.send(AtmCell.with_payload(1, 1, []).to_octets())
         sim.run(until=10 * 60)       # cell fully delivered
@@ -196,7 +220,7 @@ class TestCellStream:
         clock_only = ref_sim.process_runs - ref_busy
 
         sim, clk = make_clocked_sim()
-        sender = CellSender(sim, "tx", clk, playback="generator")
+        sender = CellSender(sim, "tx", clk)
         receiver = CellReceiver(sim, "rx", clk, sender.port)
         sender.send(AtmCell.with_payload(1, 1, []).to_octets())
         sim.run(until=10 * 60)

@@ -34,7 +34,7 @@ def _run_sender(cells):
     sim = Simulator(time_unit=TIMEBASE.tick_seconds)
     clk = sim.signal("clk", init="0")
     CycleEngine(sim, clk, period=PERIOD)
-    sender = CellSender(sim, "tx", clk, playback="bulk")
+    sender = CellSender(sim, "tx", clk)
     received = []
     CellReceiver(sim, "rx", clk, sender.port,
                  on_cell=received.append)

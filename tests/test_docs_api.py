@@ -18,7 +18,7 @@ DOCS_API = REPO_ROOT / "docs" / "api"
 def test_docs_api_tree_exists():
     assert DOCS_API.is_dir()
     for page in ("README.md", "behav.md", "core.md", "hdl.md", "netsim.md",
-                 "obs.md", "shard.md", "sweep.md"):
+                 "obs.md", "reference.md", "shard.md", "sweep.md"):
         assert (DOCS_API / page).is_file(), f"missing docs/api/{page}"
 
 
