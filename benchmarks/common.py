@@ -18,7 +18,6 @@ values stress the same shapes with more cells.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -33,21 +32,16 @@ from repro.rtl import (AccountingUnitRtl, AtmSwitchRtl, CellReceiver,
 from repro.traffic import ConstantBitRate, TrafficSource
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: cell slot time on the modelled 155.52 Mb/s line, octet-serial clock
 TIMEBASE = TimeBase.for_line_rate()
 CELL_TIME = TIMEBASE.cell_time_seconds
 
 
-def scale() -> float:
-    """Benchmark size multiplier from REPRO_BENCH_SCALE."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
 def scaled(n: int) -> int:
-    """Scale a default cell count, minimum 8."""
-    return max(8, int(n * scale()))
+    """Scale a default cell count by REPRO_BENCH_SCALE, minimum 8."""
+    return max(8, int(n * float(os.environ.get("REPRO_BENCH_SCALE",
+                                               "1.0"))))
 
 
 def save_table(name: str, text: str) -> None:
@@ -56,18 +50,6 @@ def save_table(name: str, text: str) -> None:
     (RESULTS_DIR / name).write_text(text + "\n")
     print()
     print(text)
-
-
-def save_bench_json(name: str, payload: Dict) -> Path:
-    """Persist machine-readable benchmark results at the repo root
-    (``BENCH_<name>.json``) so the perf trajectory is tracked across
-    PRs; returns the written path."""
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    payload = dict(payload)
-    payload.setdefault("benchmark", name)
-    payload.setdefault("scale", scale())
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +65,8 @@ def build_cosim_accounting(num_cells: int, load: float = 0.25,
     per port, the accounting DUT coupled on the aggregate switched
     stream.
 
-    *observe=False* disables the metrics registry (the perf benchmarks
-    measure the un-instrumented stack); *level* selects the DUT
+    *observe=False* disables the metrics registry (the E1 table
+    measures the un-instrumented stack); *level* selects the DUT
     abstraction ("rtl", the seed behaviour, or "behav" for the
     zero-delta twin — default: the environment's ``REPRO_DUT_LEVEL``
     policy).
@@ -201,8 +183,8 @@ def build_pure_rtl_system(cells_per_port: int, load: float = 0.25,
     on port 0's output stream.
 
     *rtl_backend* ``"event"`` keeps every component on the event
-    kernel (``Simulator.rtl_backend``) for the ``pure_rtl_event`` row;
-    the default leaves the simulator compiling.
+    kernel (``Simulator.rtl_backend``) for E1's event-backend row; the
+    default leaves the simulator compiling.
 
     Returns (sim, run) where run() executes the bench and returns the
     measurement dict.

@@ -11,15 +11,18 @@ We reproduce the *shape*: the same cell workload runs (a) through the
 co-verification setup (abstract switch + RTL accounting DUT via
 CASTANET) and (b) through the fully-RTL bench (4 RTL port modules,
 RTL stimulus senders and monitors, idle cells clocked at bit level).
+The RTL bench is timed twice: compiled (the default) and with every
+component on the event kernel, which is the paper's technology and so
+the like-for-like baseline of its 4.3x.  A fourth row swaps the DUT of
+(a) for its behavioural twin.
 Reported metric: simulated DUT clock cycles per wall-clock second.
-Absolute numbers depend on the host; the co-sim/pure-RTL ratio should
+Absolute numbers depend on the host; the co-sim/event-RTL ratio should
 land in the 2-10x band around the paper's 4.3x.
 """
 
 import time
 
-
-from repro.analysis import ExperimentResult, format_table, speedup
+from repro.analysis import ExperimentResult, format_table
 
 from .common import (build_cosim_accounting, build_pure_rtl_system,
                      run_cosim_accounting, save_table, scaled)
@@ -27,57 +30,81 @@ from .common import (build_cosim_accounting, build_pure_rtl_system,
 CELLS = scaled(160)
 
 
-def _measure_cosim():
-    env, dut, entity, reference = build_cosim_accounting(CELLS)
-    start = time.perf_counter()
-    stats = run_cosim_accounting(env, dut, entity, reference)
-    elapsed = time.perf_counter() - start
-    return stats, elapsed
-
-
-def _measure_pure_rtl():
-    sim, run = build_pure_rtl_system(CELLS // 4)
+def _timed(run):
+    """run() -> its stats plus wall time and clock cycles per second."""
     start = time.perf_counter()
     stats = run()
-    elapsed = time.perf_counter() - start
-    return stats, elapsed
+    wall = time.perf_counter() - start
+    return dict(stats, wall_s=wall,
+                clock_cycles_per_s=stats["hdl_clocks"] / wall)
+
+
+def _measure_cosim(cells, level="rtl"):
+    # observability off: the RTL bench it is compared with has none
+    built = build_cosim_accounting(cells, observe=False, level=level)
+    return _timed(lambda: run_cosim_accounting(*built))
+
+
+def _measure_pure_rtl(cells, rtl_backend=None):
+    sim, run = build_pure_rtl_system(cells // 4, rtl_backend=rtl_backend)
+    return _timed(run)
+
+
+def write_e1_table():
+    """Measure the four E1 configurations and save the table; returns
+    ``{case: measurement dict}``."""
+    # 1/10-size warm-up: the first run of a process pays imports and
+    # the sender's template compile, which would land on one row only
+    _measure_cosim(max(8, CELLS // 10))
+    _measure_pure_rtl(max(8, CELLS // 10))
+    measured = {
+        "co-simulation (CASTANET)": _measure_cosim(CELLS),
+        "pure RTL (compiled)": _measure_pure_rtl(CELLS),
+        # every component on the event kernel: the paper's technology,
+        # hence the like-for-like baseline of its 4.3x
+        "pure RTL (event backend)": _measure_pure_rtl(CELLS, "event"),
+        # same scenario, DUT swapped to its zero-delta twin: no HDL
+        # kernel and no synchroniser run
+        "behavioural twin": _measure_cosim(CELLS, "behav"),
+    }
+    columns = ["cells", "hdl_clocks", "wall_s", "clock_cycles_per_s"]
+    rows = [
+        ExperimentResult(case, dict(
+            {name: m[name] for name in columns},
+            cells=m.get("dut_cells", m["cells"])))
+        for case, m in measured.items()
+    ]
+    cosim_rate = measured["co-simulation (CASTANET)"]["clock_cycles_per_s"]
+    for label, baseline in (
+            ("speed-up vs compiled RTL", "pure RTL (compiled)"),
+            ("speed-up vs event RTL (paper: ~4.3x)",
+             "pure RTL (event backend)")):
+        rows.append(ExperimentResult(label, {
+            "clock_cycles_per_s":
+                cosim_rate / measured[baseline]["clock_cycles_per_s"]}))
+    save_table("e1_cosim_vs_rtl.txt", format_table(
+        "E1: co-simulation vs pure-RTL throughput "
+        f"({CELLS} cells, 25% load)", columns, rows))
+    return measured
 
 
 def test_e1_cosim_faster_than_pure_rtl(benchmark):
-    cosim_stats, cosim_time = _measure_cosim()
-    rtl_stats, rtl_time = _measure_pure_rtl()
+    measured = write_e1_table()
+    cosim = measured["co-simulation (CASTANET)"]
+    rtl_event = measured["pure RTL (event backend)"]
 
-    cosim_rate = cosim_stats["hdl_clocks"] / cosim_time
-    rtl_rate = rtl_stats["hdl_clocks"] / rtl_time
-    factor = speedup(1.0 / cosim_rate, 1.0 / rtl_rate)
-
-    rows = [
-        ExperimentResult("co-simulation (CASTANET)", {
-            "cells": cosim_stats["cells"],
-            "hdl_clocks": cosim_stats["hdl_clocks"],
-            "wall_s": cosim_time,
-            "clock_cycles_per_s": cosim_rate,
-        }),
-        ExperimentResult("pure RTL test bench", {
-            "cells": rtl_stats["dut_cells"],
-            "hdl_clocks": rtl_stats["hdl_clocks"],
-            "wall_s": rtl_time,
-            "clock_cycles_per_s": rtl_rate,
-        }),
-        ExperimentResult("speed-up (paper: ~4.3x)", {
-            "clock_cycles_per_s": cosim_rate / rtl_rate,
-        }),
-    ]
-    save_table("e1_cosim_vs_rtl.txt", format_table(
-        "E1: co-simulation vs pure-RTL throughput "
-        f"({CELLS} cells, 25% load)",
-        ["cells", "hdl_clocks", "wall_s", "clock_cycles_per_s"], rows))
-
-    # the paper's qualitative claim: co-simulation is markedly faster
-    assert cosim_rate > 1.5 * rtl_rate, (
-        f"co-sim {cosim_rate:.0f} cyc/s vs RTL {rtl_rate:.0f} cyc/s")
-    # all cells crossed both systems
-    assert cosim_stats["cells"] == CELLS
+    # the paper's qualitative claim, like for like (event-driven RTL):
+    # co-simulation is markedly faster.  The margin over compiled RTL
+    # is the suite's e1.cosim_vs_pure_rtl, measured over 3-s runs.
+    assert cosim["clock_cycles_per_s"] \
+        > 1.5 * rtl_event["clock_cycles_per_s"], (
+        f"co-sim {cosim['clock_cycles_per_s']:.0f} cyc/s vs "
+        f"event-backend RTL {rtl_event['clock_cycles_per_s']:.0f} cyc/s")
+    # all cells crossed every system, at either level and backend
+    assert cosim["cells"] == measured["behavioural twin"]["cells"] \
+        == CELLS
+    assert rtl_event["dut_cells"] \
+        == measured["pure RTL (compiled)"]["dut_cells"]
 
     # pytest-benchmark timing of the co-simulation path
     def run_once():

@@ -9,7 +9,7 @@ Small operational conveniences for exploring the reproduction:
 * ``stats`` — run the observed E1 scenario and report the
   co-simulation metrics (sync windows, null messages, lag histogram,
   kernel counters, per-cell and per-hop latency), exporting JSON
-  alongside the ``BENCH_*.json`` artifacts; ``stats --service
+  to ``--json PATH``; ``stats --service
   HOST:PORT`` instead dials a running job service and prints its live
   STATS introspection (queue depth, per-worker counters, merged
   completed-job telemetry);
@@ -20,8 +20,8 @@ Small operational conveniences for exploring the reproduction:
   ``chrome://tracing``/Perfetto-loadable JSON;
 * ``sweep`` — fan a declarative scenario matrix (traffic model ×
   port count × seed × sync mode × abstraction level) out over worker
-  processes and aggregate the results into ``BENCH_sweep.json`` plus
-  a human table (see ``docs/api/sweep.md``);
+  processes and aggregate the results into a human table plus,
+  with ``--json PATH``, one payload (see ``docs/api/sweep.md``);
 * ``equiv`` — replay identical seeded cell streams through the RTL
   designs and their behavioural twins and diff the contract surface
   (output cells, records, policing verdicts, counters); exit 1 on
@@ -78,6 +78,14 @@ def _examples_dir() -> Path:
 
 def _results_dir() -> Path:
     return _repo_root() / "benchmarks" / "results"
+
+
+def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
+    """Write *payload* to the ``--json`` path; nothing without one."""
+    if path:
+        Path(path).write_text(json.dumps(payload, indent=2,
+                                         sort_keys=True) + "\n")
+        print(f"\nwrote {path}")
 
 
 def _cmd_inventory(_args: argparse.Namespace) -> int:
@@ -265,7 +273,7 @@ def _service_stats(endpoint: str) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.service:
         # Live introspection of a running job service — no scenario
-        # run, no BENCH artifact.
+        # run, no JSON report.
         return _service_stats(args.service)
     # Lazy import: the scenario pulls in the whole stack, and
     # repro.obs deliberately does not import it (repro.core imports
@@ -343,11 +351,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 print(f"  {name:<22} n={hist['count']:<6} "
                       f"total={_format_seconds(hist['total'])}")
 
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                        + "\n")
-        print(f"\nwrote {path}")
+    _write_json(args.json, report)
     if args.trace:
         print(f"wrote trace {args.trace}")
     return 0
@@ -457,11 +461,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
                 print(f"    counters rtl={entry['counters']['rtl']}")
                 print(f"    counters behav="
                       f"{entry['counters']['behav']}")
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                        + "\n")
-        print(f"\nwrote {path}")
+    _write_json(args.json, report)
     return 0 if report["passed"] else 1
 
 
@@ -496,11 +496,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     payload = runner.run()
     print()
     print(render_sweep_report(payload))
-    if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                        + "\n")
-        print(f"\nwrote {path}")
+    _write_json(args.json, payload)
     aggregate = payload["aggregate"]
     ok = (aggregate["runs_passed"] == aggregate["runs_total"])
     return 0 if ok else 1
@@ -614,16 +610,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 for shard in reports[mode]["shards"]:
                     print(f"    {mode}/{shard['id']}: "
                           f"{shard['digests']}", file=sys.stderr)
-    if args.json:
-        path = Path(args.json)
-        payload = reports[modes[-1]] if len(modes) == 1 else {
-            "benchmark": "shard_topology",
-            "modes": reports,
-            "matched": matched,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                        + "\n")
-        print(f"\nwrote {path}")
+    _write_json(args.json, reports[modes[-1]] if len(modes) == 1 else {
+        "benchmark": "shard_topology",
+        "modes": reports,
+        "matched": matched,
+    })
     return 0 if matched else 1
 
 
@@ -692,10 +683,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.add_argument("--lockstep", action="store_true",
                        help="use the naive per-clock synchroniser "
                             "(the E2 ablation)")
-    stats.add_argument("--json",
-                       default=str(_repo_root() / "BENCH_stats.json"),
-                       help="metrics JSON output path "
-                            "(default BENCH_stats.json; '' disables)")
+    stats.add_argument("--json", default=None,
+                       help="metrics JSON output path (default: none)")
     stats.add_argument("--trace", default=None,
                        help="also write a JSON-lines decision trace "
                             "to this path")
@@ -752,7 +741,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "(default: input with a "
                                    ".trace.json suffix)")
     trace_export.add_argument("--stats", default=None,
-                              help="BENCH_stats.json snapshot to "
+                              help="'stats --json' snapshot to "
                                    "embed as trace metadata")
     trace_export.set_defaults(fn=_cmd_trace_export)
     sweep = commands.add_parser(
@@ -790,10 +779,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep.add_argument("--trace-dir", default=None,
                        help="write one JSONL decision trace per run "
                             "to this directory")
-    sweep.add_argument("--json",
-                       default=str(_repo_root() / "BENCH_sweep.json"),
-                       help="sweep JSON output path "
-                            "(default BENCH_sweep.json; '' disables)")
+    sweep.add_argument("--json", default=None,
+                       help="sweep JSON output path (default: none)")
     sweep.set_defaults(fn=_cmd_sweep)
     equiv = commands.add_parser(
         "equiv",
@@ -806,10 +793,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="cells per DUT kind (default 64)")
     equiv.add_argument("--seed", type=int, default=0,
                        help="base RNG seed (default 0)")
-    equiv.add_argument("--json",
-                       default=str(_repo_root() / "BENCH_equiv.json"),
-                       help="report JSON output path "
-                            "(default BENCH_equiv.json; '' disables)")
+    equiv.add_argument("--json", default=None,
+                       help="report JSON output path (default: none)")
     equiv.set_defaults(fn=_cmd_equiv)
     shard = commands.add_parser(
         "shard",
@@ -856,10 +841,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "telemetry into the report (trace ids "
                             "stamped into the op stream)")
     shard.add_argument("--json", default=None,
-                       help="report JSON output path (default: none; "
-                            "the committed BENCH_shard.json baseline "
-                            "comes from benchmarks/check_regression"
-                            ".py)")
+                       help="report JSON output path (default: none)")
     shard.set_defaults(fn=_cmd_shard)
     serve = commands.add_parser(
         "serve",

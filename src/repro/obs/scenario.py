@@ -48,8 +48,7 @@ def run_observed_e1(cells: int = 64, load: float = 0.25,
         profile: attach wall-clock profiling spans to the four kernel
             hot paths (``prof.*`` histograms in the report).
         observe: pass ``False`` to run the identical workload with the
-            metrics registry disabled — the overhead baseline measured
-            by ``benchmarks/bench_obs.py``.
+            metrics registry disabled — the un-instrumented baseline.
     """
     timebase = TimeBase.for_line_rate()
     cell_time = timebase.cell_time_seconds

@@ -55,31 +55,23 @@ Frames (``(kind, payload)`` tuples):
 
 On the wire every frame is binary — struct-packed header, columnar op
 payloads, a safe tag codec for control values; nothing is pickled in
-either direction (see :mod:`repro.shard.codec`).  The tuple-based
-:func:`pack_ops`/:func:`unpack_ops`/:func:`pack_outputs`/
-:func:`unpack_outputs` helpers remain for tooling that works with
-classic op-tuple lists, but no transport ships their output anymore.
+either direction (see :mod:`repro.shard.codec`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = ["OP_CELL", "OP_NULL", "OP_TICK",
            "FRAME_OPS", "FRAME_ACK", "FRAME_FINISH", "FRAME_RESULT",
            "FRAME_SNAPSHOT", "FRAME_ERROR", "FRAME_CLOSE",
            "FRAME_HELLO", "FRAME_TELEMETRY", "ShardError",
-           "error_info", "raise_remote",
-           "pack_ops", "unpack_ops", "pack_outputs",
-           "unpack_outputs"]
+           "error_info", "raise_remote"]
 
 #: op codes (single chars keep frames compact on the wire)
 OP_CELL = "c"
 OP_NULL = "n"
 OP_TICK = "k"
-
-#: every cell payload on the wire is one whole ATM cell
-CELL_OCTETS = 53
 
 #: frame kinds
 FRAME_OPS = "ops"
@@ -134,83 +126,3 @@ def error_info(exc: BaseException) -> Dict[str, str]:
 def raise_remote(shard: str, frame_payload: Dict[str, str]) -> None:
     """Raise :class:`ShardError` for a worker ``FRAME_ERROR`` payload."""
     raise ShardError(shard, frame_payload)
-
-
-def pack_ops(ops: List[Op]) -> Tuple[str, List[float], List[int],
-                                     bytes]:
-    """Flatten an op batch into four columns for the wire.
-
-    Pickling thousands of small heterogeneous tuples costs more
-    coordinator CPU than the shards spend replaying them — enough to
-    serialise the whole topology on the coordinator.  Columns (one
-    code string, one time list, one port list, one concatenated cell
-    blob) pickle as four large objects instead, and
-    :func:`unpack_ops` reproduces the *identical* op tuples on the
-    worker, so replay semantics — and byte-identity — are untouched.
-    """
-    codes: List[str] = []
-    times: List[float] = []
-    ports: List[int] = []
-    blobs: List[bytes] = []
-    for op in ops:
-        code = op[0]
-        codes.append(code)
-        times.append(op[1])
-        if code == OP_CELL:
-            octets = op[3]
-            if len(octets) != CELL_OCTETS:
-                raise ValueError(
-                    f"cell op carries {len(octets)} octets, "
-                    f"expected {CELL_OCTETS}")
-            ports.append(op[2])
-            blobs.append(octets)
-        else:
-            ports.append(-1)
-    return "".join(codes), times, ports, b"".join(blobs)
-
-
-def unpack_ops(packed: Tuple[str, List[float], List[int],
-                             bytes]) -> List[Op]:
-    """Rebuild the exact op batch :func:`pack_ops` flattened."""
-    codes, times, ports, blob = packed
-    ops: List[Op] = []
-    offset = 0
-    for index, code in enumerate(codes):
-        if code == OP_CELL:
-            octets = blob[offset:offset + CELL_OCTETS]
-            offset += CELL_OCTETS
-            ops.append((code, times[index], ports[index], octets))
-        else:
-            ops.append((code, times[index]))
-    return ops
-
-
-def pack_outputs(outputs: List[Tuple[int, float, bytes]]
-                 ) -> Tuple[List[int], List[float], bytes]:
-    """Flatten an output-cell list (same rationale as
-    :func:`pack_ops`, applied to the piggy-backed ack stream)."""
-    ports = [port for port, _, _ in outputs]
-    times = [when for _, when, _ in outputs]
-    blob = b"".join(octets for _, _, octets in outputs)
-    return ports, times, blob
-
-
-def unpack_outputs(packed: Tuple[List[int], List[float], bytes]
-                   ) -> List[Tuple[int, float, bytes]]:
-    """Rebuild the output-cell list :func:`pack_outputs` flattened."""
-    ports, times, blob = packed
-    return [(port, when,
-             blob[i * CELL_OCTETS:(i + 1) * CELL_OCTETS])
-            for i, (port, when) in enumerate(zip(ports, times))]
-
-
-def split_ops(ops: List[Op], max_batch: int) -> List[List[Op]]:
-    """Chunk an op list into batches of at most *max_batch* ops.
-
-    Batching is purely a transport optimisation: the op order inside
-    and across batches is preserved, so replay semantics are
-    unchanged.
-    """
-    if max_batch <= 0 or len(ops) <= max_batch:
-        return [ops] if ops else []
-    return [ops[i:i + max_batch] for i in range(0, len(ops), max_batch)]

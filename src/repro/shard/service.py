@@ -53,9 +53,9 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.merge import merge_histograms
+from ..sweep.runner import start_context
 from ..sweep.scenario import execute_run
 from ..sweep.spec import RunSpec, SweepSpecError
-from .topology import _mp_context
 
 __all__ = ["JobService", "ServeClient"]
 
@@ -152,7 +152,7 @@ class JobService:
         self.host = host
         self.port = port
         self.address: Optional[Tuple[str, int]] = None
-        self._ctx = _mp_context()
+        self._ctx = start_context()
         self._workers: List[_Worker] = []
         self._queue: List[Tuple[str, int]] = []
         self._store: Dict[str, Dict[str, Any]] = {}

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
 import random
 import time as _time
 from dataclasses import dataclass, field
@@ -43,6 +41,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..behav.equiv import make_events
 from ..core.timebase import TimeBase
+from ..sweep.runner import start_context
 from . import protocol
 from .client import LocalShardHandle, ShardHandle
 from .transport import (PipeTransport, accept_transport, open_listener,
@@ -323,16 +322,6 @@ class TopologySpec:
         return cls.from_mapping(data)
 
 
-def _mp_context():
-    """Fork-preferred multiprocessing context (same policy as the
-    sweep runner); overridable via ``REPRO_SHARD_START``."""
-    methods = multiprocessing.get_all_start_methods()
-    chosen = os.environ.get("REPRO_SHARD_START")
-    if chosen is None:
-        chosen = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(chosen)
-
-
 class ShardedTopology:
     """The worker-process fleet of one topology.
 
@@ -371,7 +360,7 @@ class ShardedTopology:
         if self._started:
             return self.handles
         self._started = True
-        ctx = _mp_context()
+        ctx = start_context()
         spec = self.spec
         if spec.transport == "pipe":
             for shard in spec.shards:

@@ -74,8 +74,7 @@ class Transport(abc.ABC):
     and every wire octet in :attr:`bytes_sent` /
     :attr:`bytes_received` — the per-shard exchange metrics the
     coordinator aggregates into its report (octets measure the codec's
-    framing efficiency: bytes/frame and bytes/cell in
-    ``BENCH_shard.json``).
+    framing efficiency: bytes per frame and per cell).
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,7 @@
 """Aggregation, histogram merging and the determinism projection.
 
 The runner's per-run results are condensed into one aggregate block
-for ``BENCH_sweep.json``: run counts by status, pass/fail totals,
+of the sweep payload: run counts by status, pass/fail totals,
 cells processed, summed kernel work, throughput, sync-exchange totals
 and the merged per-cell ingress-latency histogram.
 

@@ -28,7 +28,6 @@ determinism contract ``repro.sweep.strip_volatile`` tests rely on).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from multiprocessing.connection import wait as _conn_wait
@@ -42,6 +41,15 @@ __all__ = ["SweepRunner", "run_sweep"]
 
 #: attempts per run before the degradation policy kicks in
 MAX_ATTEMPTS = 2
+
+
+def start_context():
+    """The multiprocessing context of every worker pool (sweep, shard
+    topology, job service): fork where the platform offers it (fast —
+    no re-import), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 def _worker_main(conn, run: Dict[str, Any], attempt: int) -> None:
@@ -104,19 +112,8 @@ class SweepRunner:
             raise ValueError(f"need >= 1 job, got {self.jobs}")
         if self.timeout_s <= 0:
             raise ValueError(f"non-positive timeout {self.timeout_s}")
-        self._ctx = self._start_context()
+        self._ctx = start_context()
         self.stats: Dict[str, Any] = {}
-
-    @staticmethod
-    def _start_context():
-        """The multiprocessing context: fork where the platform offers
-        it (fast — no re-import), else spawn; overridable through
-        ``REPRO_SWEEP_START`` for debugging."""
-        methods = multiprocessing.get_all_start_methods()
-        chosen = os.environ.get("REPRO_SWEEP_START")
-        if chosen is None:
-            chosen = "fork" if "fork" in methods else "spawn"
-        return multiprocessing.get_context(chosen)
 
     # ------------------------------------------------------------------
     # Execution

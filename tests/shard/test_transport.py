@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.shard.codec import CodecError, OpBatch
-from repro.shard.protocol import split_ops
 from repro.shard.transport import (PipeTransport, ShmRingTransport,
                                    SocketTransport, TransportClosed,
                                    TransportError, accept_transport,
@@ -220,15 +219,6 @@ def test_transport_close_is_idempotent():
         server.close()
         client.close()
     assert server.closed and client.closed
-
-
-def test_split_ops_preserves_order():
-    ops = [("n", float(i)) for i in range(10)]
-    batches = split_ops(ops, 4)
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert [op for batch in batches for op in batch] == ops
-    assert split_ops(ops, 0) == [ops]
-    assert split_ops([], 4) == []
 
 
 # ----------------------------------------------------------------------

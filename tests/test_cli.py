@@ -138,6 +138,25 @@ def test_stats_lockstep_disables_json(capsys):
     assert "wrote" not in out
 
 
+def test_no_json_written_without_the_flag(capsys, tmp_path,
+                                          monkeypatch):
+    from repro.cli import _repo_root
+
+    def json_files():
+        return {path: path.stat().st_mtime_ns
+                for root in (tmp_path, _repo_root())
+                for path in root.glob("*.json")}
+
+    monkeypatch.chdir(tmp_path)
+    before = json_files()
+    assert main(["stats", "--cells", "16"]) == 0
+    assert main(["equiv", "--cells", "8"]) == 0
+    assert main(["sweep", "--ports", "2", "--seeds", "0",
+                 "--cells", "8", "--jobs", "1"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert json_files() == before
+
+
 def test_results_prints_tables_when_present(capsys):
     from repro.cli import _results_dir
     code = main(["results"])
