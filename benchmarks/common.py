@@ -57,8 +57,6 @@ def save_table(name: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def build_cosim_accounting(num_cells: int, load: float = 0.25,
-                           lockstep: bool = False,
-                           bug: Optional[str] = None,
                            observe: bool = True,
                            level: Optional[str] = None):
     """Figure-1 setup: 4-port abstract switch, CBR sources at *load*
@@ -74,13 +72,13 @@ def build_cosim_accounting(num_cells: int, load: float = 0.25,
     Returns (env, dut, entity, reference, finish) where finish() runs
     the drain and returns DUT records.
     """
-    env = CoVerificationEnvironment(timebase=TIMEBASE, lockstep=lockstep,
-                                    observe=observe, dut_level=level)
+    env = CoVerificationEnvironment(timebase=TIMEBASE, observe=observe,
+                                    dut_level=level)
     if env.resolved_dut_level() == "behav":
-        dut = AccountingUnitBehav("acct", timebase=TIMEBASE, bug=bug)
+        dut = AccountingUnitBehav("acct", timebase=TIMEBASE)
         entity = env.add_dut(behav=dut)
     else:
-        dut = AccountingUnitRtl(env.hdl, "acct", env.clk, bug=bug)
+        dut = AccountingUnitRtl(env.hdl, "acct", env.clk)
         entity = env.add_dut(rx_port=dut.rx,
                              tick_signal=dut.tariff_tick)
     reference = AccountingUnit(drop_unknown=True)

@@ -81,7 +81,7 @@ class CosimulationEntity(DutContract):
     (via the synchroniser), so it does not care which kernel clock
     drives *clk*: under the environment's
     :class:`~repro.hdl.cycle.CycleEngine` every granted window executes
-    through the engine's fast edge dispatch, under ``hdl.add_clock`` it
+    through the engine's edge loop, under ``hdl.add_clock`` it
     runs the event scheduler — byte-identical traces either way.
     """
 

@@ -232,7 +232,7 @@ class CompiledKernel:
     The kernel hangs off the clock signal itself
     (``clk._compiled_kernel``): both clocking schemes — the delta
     loop's changed-signal dispatch and the
-    :class:`~repro.hdl.CycleEngine` fast edge path — invoke
+    :class:`~repro.hdl.CycleEngine` edge loop — run
     :meth:`_on_edge` after the clock's update applies, so an idle edge
     (no output changes) costs the evaluations and nothing else: no
     process dispatch, no commit, no delta round.  The clock must be
@@ -431,9 +431,11 @@ class CompiledKernel:
         when any staged output changed, schedule the commit phase.
 
         Called by the edge-dispatch paths (delta loop and CycleEngine
-        fast path) right after the clock's update has applied — the
+        general edge) right after the clock's update has applied — the
         callers guarantee a rising edge.  Deliberately not a process:
-        an idle edge costs the evaluations and nothing else."""
+        an idle edge costs the evaluations and nothing else.  The
+        engine's whole-cycle path (``CycleEngine._run_quiet``) is this
+        method unrolled over a stretch of edges: keep the two alike."""
         evals = self._seq_evals
         for evaluate in evals:
             evaluate()

@@ -6,29 +6,47 @@ integration of cycle-based simulation techniques is required."
 
 :class:`CycleEngine` drives a clock signal *without* the event-driven
 machinery the generator-based clock needs: no heap push/pop per edge
-and no process resume for the clock generator itself — each edge is a
-direct delta evaluation.  Everything else (sensitivity lists, delta
-cycles, generator waits on clock edges) behaves identically, so the
-same RTL design runs under both schemes and E6 measures the gap.
+and no process resume for the clock generator itself.  Everything else
+(sensitivity lists, delta cycles, generator waits on clock edges)
+behaves identically, so the same RTL design runs under both schemes
+and E6 measures the gap.
 
-The engine is also the clock of the co-verification environment (it
+The engine is also the clock of the co-verification environment: it
 attaches itself to the simulator, and ``Simulator.run(until=...)``
-delegates to it), with two further accelerations:
+delegates to its one edge loop (``_run_edges``).  The loop costs
+sequential synchronisation and combinational compute separately (CCSS,
+PAPERS.md), because almost every edge of a compiled design needs only
+the latter:
 
-* the initial clock level is primed during initialisation exactly like
-  the generator clock's first drive, so the two schemes are
-  event-count-identical (this fixed the historic one-event E6b gap);
-* clock edges are applied by *fast dispatch*: the edge's delta cycle
-  is evaluated inline against a precomputed edge-sensitivity table (a
-  snapshot of the clock's sensitivity list, refreshed only when
-  processes are added) plus the current edge waiters, skipping the
-  general delta loop's changed-signal bookkeeping.
+* **Whole-cycle clocking of quiet stretches.**  Edges are *quiet* when
+  they can wake nothing but the compiled kernel: the engine is the
+  clock's only driver, no delta work is pending, no signal hook is
+  installed, no process is sensitive to or waiting on the clock.  That
+  is asked once per stretch and again after every excursion into code
+  that could change the answer — never per edge.  A stretch ends at
+  the run's horizon, before the next timed heap event or with the next
+  waveform batch.  Inside it a rising edge is ``sim.now = t``, the
+  kernel's sequential evaluations and a test of the dirty list; a
+  falling edge is not executed at all.  What per-edge evaluation would
+  have counted or stamped (kernel and engine counters, the clock's
+  value, ``change_count``, ``last_event_time``, event stamp) is settled
+  arithmetically before any other code can read it; when an evaluation
+  stages an output change, the stretch settles, runs the commit delta
+  directly and carries on.
+* **The general edge** (``_apply_edge``) serves every other one —
+  event-backend processes, generator waiters, VCD hooks, falling-edge
+  logic, coincident delta work: one inline delta cycle waking the
+  clock's sensitivity lists (a cached snapshot) and the current edge
+  waiters, then the general delta loop for follow-up deltas.
+* The initial clock level is primed during initialisation exactly like
+  the generator clock's first drive, so the two clocking schemes are
+  event-count-identical.
 
-Restrictions:
-* the clock signal must not have another driver (do not also call
-  ``sim.add_clock`` on it);
-* timed events scheduled by other processes are honoured — the engine
-  drains the heap up to each edge time before evaluating the edge.
+Both kinds of edge leave the same trace and counters behind
+(``tests/hdl/test_cycle_quiet.py``).  Timed events are honoured: heap
+events due at an edge's time apply before the edge, waveform batches
+in their own delta after it.  A second driver on the clock (do not
+also call ``sim.add_clock`` on it) keeps every edge general.
 """
 
 from __future__ import annotations
@@ -90,8 +108,8 @@ class CycleEngine:
         self._edge_table_rise_len = -1
         self._edge_table_all: Tuple[Process, ...] = ()
         self._clk_id = id(clk)
+        #: rising / all clock edges applied so far (observability)
         self.cycles_run = 0
-        #: clock edges applied through fast dispatch (observability)
         self.edges_applied = 0
         # Publish the clock geometry so bulk-stimulus compilers (e.g.
         # CellSender's waveform fast path) can place transitions on
@@ -104,24 +122,12 @@ class CycleEngine:
     # ------------------------------------------------------------------
     def run_cycles(self, cycles: int) -> None:
         """Advance the design by *cycles* full clock periods."""
-        sim = self.sim
-        sim.initialize()
-        self._prime()
-        sim._execute_deltas()
-        heap = sim._heap
-        wave = sim._wave_heap
-        for _ in range(cycles):
-            for _edge in (0, 1):                 # rising, falling
-                target = self._next_edge_time
-                if (heap and heap[0][0] <= target) or (
-                        wave and wave[0][0] < target):
-                    self._advance_to(target, wave_at_target=False)
-                else:
-                    sim.now = target
-                self._apply_edge()
-                if wave and wave[0][0] == target:
-                    self._drain_wave_now()
-            self.cycles_run += 1
+        self._start()
+        if cycles > 0:
+            rising = self._next_edge_value == "1"
+            self._run_edges(
+                self._next_edge_time + (cycles - 1) * self.period
+                + (self.high_ticks if rising else self.low_ticks))
 
     def _run_until(self, until: Optional[int]) -> int:
         """Engine-driven equivalent of ``Simulator.run(until=...)``:
@@ -129,52 +135,28 @@ class CycleEngine:
         events and bulk waveforms in between, and land exactly on
         *until*."""
         sim = self.sim
-        sim.initialize()
-        self._prime()
-        sim._execute_deltas()
+        self._start()
         if until is None:
             # No horizon: interleave edges with heap/waveform events
             # until both drain (the clock itself never schedules, so
             # this terminates exactly when an event-driven run of the
-            # non-clock events would).  Same-time ordering matches the
-            # event-driven kernel: heap events apply before the edge,
-            # waveform batches after it.
-            heap = sim._heap
+            # non-clock events would).  An edge coincident with the
+            # event is applied only under a waveform batch, which must
+            # land after it.
             wave = sim._wave_heap
             while True:
                 next_time = sim.next_event_time()
                 if next_time is None:
                     return sim.now
-                while self._next_edge_time < next_time:
-                    target = self._next_edge_time
-                    if (heap and heap[0][0] <= target) or (
-                            wave and wave[0][0] < target):
-                        self._advance_to(target, wave_at_target=False)
-                    else:
-                        sim.now = target
-                    self._apply_edge()
-                    if wave and wave[0][0] == target:
-                        self._drain_wave_now()
+                self._run_edges(next_time - 1)
                 self._advance_to(next_time, wave_at_target=False)
                 if wave and wave[0][0] == next_time:
                     if self._next_edge_time == next_time:
                         self._apply_edge()
                     self._drain_wave_now()
-        if until < sim.now:
-            return sim.now
-        heap = sim._heap
-        wave = sim._wave_heap
-        while self._next_edge_time <= until:
-            target = self._next_edge_time
-            if (heap and heap[0][0] <= target) or (
-                    wave and wave[0][0] < target):
-                self._advance_to(target, wave_at_target=False)
-            else:
-                sim.now = target
-            self._apply_edge()
-            if wave and wave[0][0] == target:
-                self._drain_wave_now()
-        self._advance_to(until)
+        if until >= sim.now:
+            self._run_edges(until)
+            self._advance_to(until)
         return sim.now
 
     def schedule_waveform(self, *args, **kwargs):
@@ -185,6 +167,144 @@ class CycleEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """Initialise, prime the clock level and settle time-zero (or
+        test-bench driven) delta work before the first edge."""
+        self.sim.initialize()
+        self._prime()
+        self.sim._execute_deltas()
+
+    def _run_edges(self, limit: int) -> None:
+        """The one edge loop: apply every clock edge due at or before
+        *limit*, leaving time on the last one.  Heap events apply
+        before a coincident edge, waveform batches in their own delta
+        after it (the event-driven kernel's order).  A quiet stretch
+        (:meth:`_quiet`) runs as whole cycles up to the next heap event
+        or waveform batch; any other edge, and the first one of a
+        stretch too short to hold an edge, is a general one."""
+        sim = self.sim
+        heap = sim._heap
+        wave = sim._wave_heap
+        while self._next_edge_time <= limit:
+            target = self._next_edge_time
+            if self._quiet():
+                stop = limit + 1
+                if heap and heap[0][0] < stop:
+                    stop = heap[0][0]        # heap work precedes its edge
+                if wave and wave[0][0] < stop:
+                    stop = wave[0][0] + 1    # a batch follows its edge
+                if target < stop:
+                    self._run_quiet(stop)
+                    if wave and wave[0][0] == sim.now:
+                        self._drain_wave_now()
+                    continue
+            if (heap and heap[0][0] <= target) or (
+                    wave and wave[0][0] < target):
+                self._advance_to(target, wave_at_target=False)
+            else:
+                sim.now = target
+            self._apply_edge()
+            if wave and wave[0][0] == target:
+                self._drain_wave_now()
+
+    def _quiet(self) -> bool:
+        """Can the coming clock edges wake nothing but the compiled
+        kernel?  Only code run from :meth:`_apply_edge`,
+        :meth:`_advance_to`, :meth:`_drain_wave_now` or a commit that
+        woke a process can change the answer, so it is asked once per
+        stretch, never per edge."""
+        sim = self.sim
+        clk = self.clk
+        drivers = clk._drivers
+        return (not (sim.signal_hooks or clk._sensitive
+                     or clk._sensitive_rise
+                     or sim._waiters.get(self._clk_id)
+                     or sim._pending_updates or sim._pending_resumes)
+                and len(drivers) == 1 and self._driver in drivers
+                and (clk._value, self._next_edge_value) in (
+                    ("0", "1"), ("1", "0")))       # the clock toggles
+
+    def _run_quiet(self, stop: int) -> None:
+        """Whole-cycle clocking of the quiet edges before *stop*: a
+        rising edge is the kernel's sequential evaluations (which see
+        ``sim.now`` and the clock high) and a test of the dirty list,
+        a falling edge nothing.  The bookkeeping is settled
+        (:meth:`_settle`) before anything else can read it: before a
+        commit, before an exception leaves, and at the end.  Returns
+        early once a commit woke a process — that may end the quiet."""
+        sim = self.sim
+        clk = self.clk
+        kernel = clk._compiled_kernel
+        first_rise = self._next_edge_time
+        if self._next_edge_value == "0":
+            first_rise += self.low_ticks
+        if kernel is not None and kernel._seq_evals and first_rise < stop:
+            evals = kernel._seq_evals
+            dirty = kernel._dirty
+            clk._previous, clk._value = "0", "1"
+            if clk._compiled_slot is not None:
+                clk._compiled_slot.value = "1"
+            try:
+                for now in range(first_rise, stop, self.period):
+                    sim.now = now
+                    for evaluate in evals:
+                        evaluate()
+                    if dirty:
+                        # The commit delta, run directly: one round
+                        # holding only the commit process.
+                        self._settle(now)
+                        sim.delta_cycles += 1
+                        sim._run_process(kernel._commit_proc)
+                        if sim._pending_updates or sim._pending_resumes:
+                            sim._execute_deltas()
+                            return
+                        sim._delta_stamp += 1
+            except BaseException:
+                self._settle(sim.now)
+                raise
+        self._settle(stop - 1)
+
+    def _settle(self, through: int) -> None:
+        """Account for the quiet edges from the next scheduled one up
+        to time *through* in one step: what that many
+        :meth:`_apply_edge` calls that woke nothing leave behind."""
+        first = self._next_edge_time
+        if through < first:
+            return
+        sim = self.sim
+        clk = self.clk
+        rising_first = self._next_edge_value == "1"
+        span = self.high_ticks if rising_first else self.low_ticks
+        cycles, rest = divmod(through - first, self.period)
+        odd = rest < span            # the last edge is like the first
+        edges = 2 * cycles + (1 if odd else 2)
+        rises = cycles + (1 if rising_first or not odd else 0)
+        now = first + cycles * self.period + (0 if odd else span)
+        if rising_first == odd:      # the last edge is a rising one
+            value, self._next_edge_value = "1", "0"
+            self._next_edge_time = now + self.high_ticks
+        else:
+            value, self._next_edge_value = "0", "1"
+            self._next_edge_time = now + self.low_ticks
+        self.edges_applied += edges
+        self.cycles_run += rises
+        sim.now = now
+        sim.delta_cycles += edges
+        sim.events_executed += edges
+        sim.signal_events += edges
+        sim._delta_stamp += 2 * edges
+        clk._drivers[self._driver] = value
+        clk._previous = self._next_edge_value
+        clk._value = value
+        clk.change_count += edges
+        clk._event_delta = sim._delta_stamp - 1
+        clk.last_event_time = now
+        if clk._compiled_slot is not None:
+            clk._compiled_slot.value = value
+        kernel = clk._compiled_kernel
+        if kernel is not None:
+            kernel.evals_run += rises * len(kernel._seq_evals)
+
     def _prime(self) -> None:
         """Apply the pre-first-edge clock level once, mirroring the
         generator clock's initial drive (this keeps the two clocking
@@ -211,6 +331,7 @@ class CycleEngine:
         self.edges_applied += 1
         value = self._next_edge_value
         if value == "1":
+            self.cycles_run += 1
             self._next_edge_value = "0"
             self._next_edge_time += self.high_ticks
         else:

@@ -650,7 +650,7 @@ class Simulator:
         waiters whose edge condition is satisfied (disarmed here).
 
         The single edge-dispatch rule shared by the delta loop, the
-        :class:`~repro.hdl.cycle.CycleEngine` fast edge path and the
+        :class:`~repro.hdl.cycle.CycleEngine` general edge and the
         compiled kernel's commit phase.  Returns the number added.
         """
         added = 0

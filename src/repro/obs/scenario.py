@@ -33,8 +33,7 @@ def run_observed_e1(cells: int = 64, load: float = 0.25,
                     lockstep: bool = False,
                     trace: Optional[Union[str, Path]] = None,
                     sample: int = 1,
-                    profile: bool = False,
-                    observe: bool = True) -> Dict[str, object]:
+                    profile: bool = False) -> Dict[str, object]:
     """Run the observed E1 scenario; returns the metrics report.
 
     Args:
@@ -47,14 +46,11 @@ def run_observed_e1(cells: int = 64, load: float = 0.25,
             journeys (1 = every cell, 0 disables provenance).
         profile: attach wall-clock profiling spans to the four kernel
             hot paths (``prof.*`` histograms in the report).
-        observe: pass ``False`` to run the identical workload with the
-            metrics registry disabled — the un-instrumented baseline.
     """
     timebase = TimeBase.for_line_rate()
     cell_time = timebase.cell_time_seconds
     env = CoVerificationEnvironment(timebase=timebase,
                                     lockstep=lockstep, trace=trace,
-                                    observe=observe,
                                     provenance_sample=sample)
     dut = AccountingUnitRtl(env.hdl, "acct", env.clk)
     entity = env.add_dut(rx_port=dut.rx, tick_signal=dut.tariff_tick)

@@ -1,0 +1,292 @@
+"""Differential tests of whole-cycle clocking (``CycleEngine._run_quiet``).
+
+The engine runs *quiet* stretches of clock edges as compiled
+evaluations plus arithmetic and every other edge through the general
+``_apply_edge``.  The promise is that nobody can tell: a generated
+schedule of ``run(until=)`` slices, waveforms, timed events, edge
+waiters, a VCD hook attached mid-run and falling-edge logic is replayed
+on the same compiled design under
+
+* ``"cycle"`` — the engine as shipped,
+* ``"general"`` — the engine kept out of the quiet path by a no-op
+  signal hook, so every edge is a general one (exact oracle: same
+  ordering rules, every counter must match), and
+* ``"event"`` — the kernel's generator clock, ``Simulator.add_clock``
+  (the clock generator costs one process run and one delta round per
+  edge, which is subtracted; a heap event on an edge shares the edge's
+  delta there, so that schedule keeps timed events off the edges).
+
+Compared: the VCD written from the step the writer is attached at, the
+log of every process woken on the way (time, clock level, ``clk.event``,
+outputs, kernel counters as seen from inside the process), the final
+kernel counters, the engine's own edge and cycle counts, ``clk.change_count`` / ``last_event_time`` and values.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hdl import (CycleEngine, FallingEdge, RisingEdge, Simulator,
+                       VcdWriter)
+from repro.rtl import Counter, Register
+
+COUNTERS = ("events_executed", "signal_events", "delta_cycles",
+            "process_runs", "compiled_evals", "compiled_commit_writes")
+
+
+class Bench:
+    """One clocked design plus the observers that log what they see."""
+
+    def __init__(self, clocking, period, duty, compiled, falling_logic):
+        self.sim = sim = Simulator()
+        self.period = period
+        self.low = period - duty
+        self.clk = clk = sim.signal("clk", init="0")
+        self.clock_proc = None
+        self.engine = None
+        if clocking == "event":
+            self.clock_proc = sim.add_clock(clk, period, duty_ticks=duty)
+        else:
+            self.engine = CycleEngine(sim, clk, period, duty_ticks=duty)
+            if clocking == "general":
+                sim.signal_hooks.append(lambda _signal: None)
+        self.d = sim.signal("d", width=4, init=0)
+        self.en = sim.signal("en", init="0")
+        self.outputs = [self.d, self.en]
+        self.committed = (self.d,)
+        if compiled:
+            reg = Register(sim, "reg", clk, self.d)
+            cnt = Counter(sim, "cnt", clk, width=3, enable=self.en)
+            self.outputs += [reg.q, cnt.q]
+            self.committed = (reg.q, cnt.q)
+            # woken by the commit: runs in the delta after it
+            sim.add_process("on_q", lambda _s: self.note("q"),
+                            sensitivity=[reg.q, cnt.q])
+        if falling_logic:
+            falls = sim.signal("falls", width=4, init=0)
+            self.outputs.append(falls)
+
+            def on_clk(_sim):
+                if clk.falling():
+                    self.note("fall")
+                    falls.drive((falls.as_int() + 1) % 16)
+            sim.add_process("on_fall", on_clk, sensitivity=[clk])
+        self.log = []
+        self.vcd = None
+
+    def counters(self):
+        """Kernel counters with the generator clock's own share (one
+        process run and one delta round per edge) taken out."""
+        stats = self.sim.stats_snapshot()
+        values = [stats[key] for key in COUNTERS]
+        if self.clock_proc is not None:
+            values[2] -= self.clock_proc.runs - 1
+            values[3] -= self.clock_proc.runs
+        return tuple(values)
+
+    def note(self, tag):
+        clk = self.clk
+        counters = self.counters()
+        # process_runs is compared at the end only: the delta loop
+        # counts a round's processes one by one, the engine's edge
+        # dispatch all at once after the last one
+        self.log.append((tag, self.sim.now, clk.value, clk.event,
+                         clk.change_count, clk.last_event_time,
+                         tuple(s.value for s in self.outputs),
+                         counters[:3] + counters[4:]))
+
+    def on_edge(self, time):
+        return time > 0 and time % self.period in (0, self.low)
+
+    # -- schedule actions --------------------------------------------------
+    def drive_later(self, name, value, delay, keep_off_edges):
+        while keep_off_edges and self.on_edge(self.sim.now + delay):
+            delay += 1
+        getattr(self, name).drive(value, delay=delay)
+
+    def act(self, action, keep_off_edges):
+        kind = action[0]
+        sim = self.sim
+        if kind == "wave":
+            sim.schedule_waveform(
+                [(offset, getattr(self, name), value)
+                 for offset, name, value in action[1]])
+        elif kind == "timed":
+            self.drive_later(*action[1:], keep_off_edges)
+        elif kind == "chaser":
+            # woken by a commit, it schedules a timed event and starts
+            # waiting on the clock: the commit's delta ends the quiet
+            _kind, edge, delay = action
+            tag = f"chaser@{sim.now}"
+
+            def chaser():
+                yield self.committed
+                self.note(tag)
+                self.drive_later("en", "1", delay, keep_off_edges)
+                yield edge(self.clk)
+                self.note(tag)
+            sim.add_generator(tag, chaser())
+        elif kind == "waiter":
+            _kind, edge, count, drives = action
+            tag = f"{edge.__name__}@{sim.now}"
+
+            def waiter():
+                for index in range(count):
+                    yield edge(self.clk)
+                    self.note(tag)
+                    if drives:
+                        self.d.drive((index * 5 + drives) % 16)
+            sim.add_generator(tag, waiter())
+
+    def finish(self):
+        if self.vcd is not None:
+            self.vcd.close()
+        clk = self.clk
+        return {
+            "now": self.sim.now,
+            "log": self.log,
+            "counters": self.counters(),
+            "clk": (clk.value, clk.previous, clk.change_count,
+                    clk.last_event_time, clk.event),
+            "values": tuple(s.value for s in self.outputs),
+            "vcd": (self.vcd.path.read_text()
+                    if self.vcd is not None else None),
+        }
+
+
+def replay(clocking, scenario, directory, keep_off_edges):
+    period, duty, compiled, falling_logic, steps, vcd_at = scenario
+    bench = Bench(clocking, period, duty, compiled, falling_logic)
+    for index, (action, ticks) in enumerate(steps):
+        if index == vcd_at:
+            bench.vcd = VcdWriter(bench.sim, directory / f"{clocking}.vcd",
+                                  [bench.clk] + bench.outputs).open()
+        bench.act(action, keep_off_edges)
+        bench.sim.run(until=bench.sim.now + ticks)
+    result = bench.finish()
+    if bench.engine is not None:
+        result["engine"] = bench.engine.stats_snapshot()
+    return result
+
+
+def assert_indistinguishable(scenario, directory):
+    # against the general edge path: everything, timed events anywhere
+    cycle = replay("cycle", scenario, directory, keep_off_edges=False)
+    assert cycle == replay("general", scenario, directory,
+                           keep_off_edges=False)
+    # against the event-driven clock
+    cycle = replay("cycle", scenario, directory, keep_off_edges=True)
+    cycle.pop("engine")
+    assert cycle == replay("event", scenario, directory,
+                           keep_off_edges=True)
+
+
+SIGNAL_VALUES = st.one_of(
+    st.tuples(st.just("d"), st.integers(0, 15)),
+    st.tuples(st.just("en"), st.sampled_from(["0", "1"])))
+
+
+@st.composite
+def scenarios(draw):
+    period = draw(st.sampled_from([4, 6, 10]))
+    duty = draw(st.integers(1, period - 1))
+    span = 3 * period
+    transitions = st.lists(
+        st.tuples(st.integers(0, span), SIGNAL_VALUES), max_size=5).map(
+            lambda items: [(offset, name, value) for offset, (name, value)
+                           in sorted(items, key=lambda item: item[0])])
+    action = st.one_of(
+        st.just(("none",)),
+        st.tuples(st.just("wave"), transitions),
+        st.tuples(st.just("timed"), SIGNAL_VALUES,
+                  st.integers(1, span)).map(
+                      lambda t: ("timed", t[1][0], t[1][1], t[2])),
+        st.tuples(st.just("waiter"),
+                  st.sampled_from([RisingEdge, FallingEdge]),
+                  st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("chaser"),
+                  st.sampled_from([RisingEdge, FallingEdge]),
+                  st.integers(1, span)))
+    steps = draw(st.lists(st.tuples(action, st.integers(0, span + 7)),
+                          min_size=1, max_size=8))
+    return (period, duty,
+            draw(st.sampled_from([True, True, True, False])),  # compiled
+            draw(st.sampled_from([False, False, True])),  # falling logic
+            steps, draw(st.integers(0, len(steps))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios())
+def test_quiet_stretches_are_indistinguishable(scenario, tmp_path_factory):
+    assert_indistinguishable(scenario, tmp_path_factory.getbasetemp())
+
+
+WAVE_ON_RISE = ("wave", [(5, "d", 9), (5, "en", "1"), (25, "en", "0")])
+
+REGRESSIONS = {
+    # slices ending between a rising and a falling edge, and on edges
+    "slices-inside-a-cycle": (10, 5, True, False, [
+        (WAVE_ON_RISE, 7), (("none",), 0), (("none",), 3),
+        (("none",), 5), (("none",), 26)], 5),
+    # waveform transitions off the edges, uneven duty
+    "off-edge-waveform": (10, 3, True, False, [
+        (("wave", [(1, "en", "1"), (8, "d", 3), (9, "d", 4),
+                   (18, "en", "0")]), 40)], 5),
+    # a timed heap event in the middle of a stretch, and one on an edge
+    "timed-event-inside-a-stretch": (10, 5, True, False, [
+        (("timed", "en", "1", 22), 0), (("timed", "d", 7, 35), 80)], 5),
+    # waiters that start and stop waiting mid-run
+    "waiters-come-and-go": (6, 2, True, False, [
+        (("none",), 20), (("waiter", RisingEdge, 2, 3), 5),
+        (("waiter", FallingEdge, 3, 0), 31), (("none",), 25)], 5),
+    # a process woken by a commit ends the quiet from inside a stretch
+    "commit-wakes-a-chaser": (10, 5, True, False, [
+        (("chaser", FallingEdge, 13), 12), (WAVE_ON_RISE, 60)], 5),
+    # the VCD hook ends the quiet when it is attached
+    "vcd-attached-mid-run": (10, 5, True, False, [
+        (WAVE_ON_RISE, 33), (("none",), 40), (("none",), 12)], 1),
+    # falling-edge logic keeps every edge general
+    "falling-edge-logic": (4, 1, True, True, [
+        (("wave", [(3, "en", "1")]), 30)], 0),
+    # no compiled kernel at all: stretches are pure arithmetic
+    "no-kernel-waveform-in-first-half-period": (10, 5, False, False, [
+        (("wave", [(2, "d", 1), (5, "d", 2), (10, "d", 3)]), 4),
+        (("none",), 57)], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSIONS))
+def test_quiet_stretch_regressions(name, tmp_path):
+    assert_indistinguishable(REGRESSIONS[name], tmp_path)
+
+
+def test_an_evaluation_that_raises_leaves_the_clock_consistent():
+    """An exception out of a compiled evaluation mid-stretch settles
+    the edges done so far: the run can be resumed.  Evaluations see
+    the clock high, as on a general rising edge."""
+    from repro.hdl import compile_kernel
+
+    sim = Simulator()
+    clk = sim.signal("clk", init="0")
+    engine = CycleEngine(sim, clk, period=10)
+    calls = []
+
+    def builder(ctx):
+        clk_slot = ctx.read(clk)
+
+        def evaluate():
+            assert clk_slot.value == clk.value == "1"
+            calls.append(sim.now)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+        return evaluate
+
+    compile_kernel(sim, clk).add_seq("bomb", builder)
+    with pytest.raises(RuntimeError):
+        sim.run(until=100)
+    assert calls == [5, 15, 25]
+    assert sim.now == 25 and clk.value == "1"
+    assert (engine.edges_applied, engine.cycles_run) == (5, 3)
+    assert clk.change_count == 5 and clk.last_event_time == 25
+    sim.run(until=100)
+    assert calls == [5, 15, 25, 35, 45, 55, 65, 75, 85, 95]
+    assert sim.now == 100 and engine.edges_applied == 20
