@@ -21,6 +21,7 @@ octet  contents
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,12 +39,16 @@ CELL_BITS = CELL_OCTETS * 8
 #: (VPI, VCI) of idle/unassigned cells inserted to fill the cell stream.
 IDLE_VPI_VCI = (0, 0)
 
+_ZEROS = (0,) * PAYLOAD_OCTETS
+#: ``slots=True`` needs Python 3.10; 3.9 keeps a ``__dict__`` per cell
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
 
 class CellFormatError(ValueError):
     """Raised for out-of-range header fields or malformed octet streams."""
 
 
-@dataclass
+@dataclass(**_SLOTS)
 class AtmCell:
     """One ATM cell at the abstract (network-simulator) level.
 
@@ -67,8 +72,7 @@ class AtmCell:
     pt: int = 0
     clp: int = 0
     gfc: int = 0
-    payload: Tuple[int, ...] = field(
-        default_factory=lambda: (0,) * PAYLOAD_OCTETS)
+    payload: Tuple[int, ...] = _ZEROS
     trace_id: Optional[int] = field(default=None, compare=False,
                                     repr=False)
 
@@ -121,12 +125,7 @@ class AtmCell:
     def with_payload(cls, vpi: int, vci: int,
                      payload: Sequence[int] = (), **kwargs) -> "AtmCell":
         """Build a cell, zero-padding *payload* to 48 octets."""
-        data = list(payload)
-        if len(data) > PAYLOAD_OCTETS:
-            raise CellFormatError(
-                f"payload of {len(data)} octets exceeds {PAYLOAD_OCTETS}")
-        data.extend([0] * (PAYLOAD_OCTETS - len(data)))
-        return cls(vpi=vpi, vci=vci, payload=tuple(data), **kwargs)
+        return cls(vpi=vpi, vci=vci, payload=_padded(payload), **kwargs)
 
     @classmethod
     def idle(cls) -> "AtmCell":
@@ -201,12 +200,23 @@ class AtmCell:
         """Recover a cell from an abstract packet built by
         :meth:`to_packet` (missing fields default to zero; a provenance
         ``trace_id`` stamped on the packet is carried over)."""
-        return cls.with_payload(
-            vpi=packet.get("VPI", 0), vci=packet.get("VCI", 0),
-            payload=packet.get("payload", ()),
-            pt=packet.get("PT", 0), clp=packet.get("CLP", 0),
-            gfc=packet.get("GFC", 0), trace_id=packet.get("trace_id"))
+        get = packet.fields.get
+        return cls(get("VPI", 0), get("VCI", 0), get("PT", 0),
+                   get("CLP", 0), get("GFC", 0),
+                   _padded(get("payload", ())), get("trace_id"))
 
     def connection(self) -> Tuple[int, int]:
         """The (VPI, VCI) pair identifying the cell's connection."""
         return (self.vpi, self.vci)
+
+
+def _padded(payload: Sequence[int]) -> Sequence[int]:
+    """*payload* zero-padded to 48 octets (as it is when it has 48)."""
+    if not isinstance(payload, (tuple, list, bytes)):
+        payload = tuple(payload)
+    if len(payload) > PAYLOAD_OCTETS:
+        raise CellFormatError(
+            f"payload of {len(payload)} octets exceeds {PAYLOAD_OCTETS}")
+    if len(payload) == PAYLOAD_OCTETS:
+        return payload
+    return tuple(payload) + _ZEROS[len(payload):]

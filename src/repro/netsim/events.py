@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 #: Global monotone sequence used to break ties between events that carry
@@ -55,23 +55,29 @@ class Interrupt:
     data: Any = None
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled event in the kernel's event list.
+    """Handle of a scheduled event, returned by ``Kernel.schedule``.
 
-    Events order by ``(time, priority, seq)``.  Lower priority values
-    execute first among simultaneous events; ``seq`` preserves FIFO order
-    of equal-priority simultaneous events.
+    The kernel's event list holds ``(time, priority, seq, event)``
+    tuples, so heap sifts compare floats and ints and never the handle
+    (``seq`` is unique).  Lower priority values execute first among
+    simultaneous events; ``seq`` preserves FIFO order of equal-priority
+    simultaneous events.
     """
 
-    time: float
-    priority: int
-    seq: int = field(default_factory=lambda: next(_event_sequence))
-    action: Callable[[], None] = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "priority", "seq", "action", "cancelled")
+
+    def __init__(self, time: float, priority: int, seq: int,
+                 action: Callable[[], None]) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event cancelled; the kernel drops it when popped."""
+        """Mark the event cancelled (a tombstone): it stays in the
+        event list and the kernel drops it when it reaches the head."""
         self.cancelled = True
 
 

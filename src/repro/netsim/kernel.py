@@ -18,16 +18,18 @@ models are layered on top (see :mod:`repro.netsim.node`,
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
-from .events import Event, SchedulingError
+from .events import Event, SchedulingError, _event_sequence
 
 __all__ = ["Kernel"]
 
 
 class Kernel:
-    """A discrete-event simulation kernel with a binary-heap event list.
+    """A discrete-event simulation kernel with a binary-heap event list
+    of ``(time, priority, seq, event)`` tuples (see
+    :class:`~repro.netsim.events.Event`).
 
     Example:
         >>> k = Kernel()
@@ -40,16 +42,15 @@ class Kernel:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._now: float = 0.0
-        self._running = False
         self._executed_events = 0
         self._stop_requested = False
         #: largest event-list length ever reached (observability)
         self.peak_pending_events = 0
         #: number of distinct time advances (observability)
         self.time_advances = 0
-        #: Hooks invoked with the kernel each time ``now`` advances.
+        #: Hooks invoked with the new time each time ``now`` advances.
         self.time_listeners: List[Callable[[float], None]] = []
         #: optional profiling hook — a zero-arg callable returning a
         #: context manager, wrapped around every :meth:`run` call (see
@@ -71,8 +72,8 @@ class Kernel:
 
     @property
     def pending_events(self) -> int:
-        """Number of events currently in the event list (incl. cancelled)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        """Number of events in the event list, cancelled ones excluded."""
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def stats_snapshot(self) -> dict:
         """Machine-readable kernel counters — plain reads, no reset."""
@@ -87,9 +88,7 @@ class Kernel:
     def next_event_time(self) -> Optional[float]:
         """Time stamp of the earliest pending event, or ``None`` if empty."""
         self._drop_cancelled_head()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -104,10 +103,12 @@ class Kernel:
         if time < self._now:
             raise SchedulingError(
                 f"event scheduled at t={time} in the past of t={self._now}")
-        event = Event(time=time, priority=priority, action=action)
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self.peak_pending_events:
-            self.peak_pending_events = len(self._queue)
+        seq = next(_event_sequence)
+        event = Event(time, priority, seq, action)
+        queue = self._queue
+        heappush(queue, (time, priority, seq, event))
+        if len(queue) > self.peak_pending_events:
+            self.peak_pending_events = len(queue)
         return event
 
     def schedule_after(self, delay: float, action: Callable[[], None],
@@ -115,7 +116,14 @@ class Kernel:
         """Schedule *action* to run *delay* time units from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay}")
-        return self.schedule(self._now + delay, action, priority)
+        time = self._now + delay
+        seq = next(_event_sequence)
+        event = Event(time, priority, seq, action)
+        queue = self._queue
+        heappush(queue, (time, priority, seq, event))
+        if len(queue) > self.peak_pending_events:
+            self.peak_pending_events = len(queue)
+        return event
 
     # ------------------------------------------------------------------
     # Execution
@@ -130,12 +138,8 @@ class Kernel:
         self._drop_cancelled_head()
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        if event.time < self._now:
-            raise SchedulingError(
-                f"causality violation: popped event at t={event.time} "
-                f"behind current time t={self._now}")
-        self._advance_time(event.time)
+        time, _, _, event = heappop(self._queue)
+        self._advance_time(time)
         event.action()
         self._executed_events += 1
         return True
@@ -143,11 +147,12 @@ class Kernel:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run events until the list drains, *until* is reached, or
-        *max_events* events have executed.
+        *max_events* events have executed (or :meth:`stop` is called).
 
         When *until* is given, the kernel's clock is advanced to exactly
         *until* on return even if the last event fired earlier, so that
-        coupled simulators observe a consistent horizon.
+        coupled simulators observe a consistent horizon — unless the run
+        was cut short with an event still due by *until*.
 
         Returns:
             The simulated time at which execution stopped.
@@ -160,18 +165,38 @@ class Kernel:
 
     def _run_events(self, until: Optional[float],
                     max_events: Optional[int]) -> float:
+        # The one run loop: head check, tombstone skip, horizon test and
+        # time advance are inlined.
         self._stop_requested = False
-        executed = 0
-        while not self._stop_requested:
-            if max_events is not None and executed >= max_events:
+        queue = self._queue
+        # a negative count never reaches 0: unlimited
+        remaining = -1 if max_events is None else max(0, max_events)
+        horizon = float("inf") if until is None else until
+        while remaining and not self._stop_requested:
+            if not queue:
                 break
-            next_time = self.next_event_time()
-            if next_time is None:
+            time, _, _, event = queue[0]
+            if event.cancelled:
+                heappop(queue)
+                continue
+            if time > horizon:
                 break
-            if until is not None and next_time > until:
-                break
-            self.step()
-            executed += 1
+            heappop(queue)
+            if time != self._now:    # never below it: see schedule()
+                self._now = time
+                self.time_advances += 1
+                for listener in self.time_listeners:
+                    listener(time)
+            event.action()
+            self._executed_events += 1
+            remaining -= 1
+        else:
+            # cut short by max_events or stop(): the clock must not pass
+            # an event still due by *until* (a scan leaves tombstones be)
+            if until is not None and any(
+                    entry[0] <= until and not entry[3].cancelled
+                    for entry in queue):
+                return self._now
         if until is not None and until > self._now:
             self._advance_time(until)
         return self._now
@@ -194,5 +219,5 @@ class Kernel:
                 listener(time)
 
     def _drop_cancelled_head(self) -> None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+        while self._queue and self._queue[0][3].cancelled:
+            heappop(self._queue)

@@ -142,9 +142,17 @@ class ProcessModel:
         self._require_module()
         interrupt = Interrupt(kind=InterruptKind.SELF, code=code, data=data)
         kernel = self.module.node.kernel
-        event = kernel.schedule_after(delay,
-                                      lambda: self.deliver(interrupt))
-        self._pending_self.append(event)
+        # only live timers are kept: cancelled ones are dropped here, a
+        # delivered one removes itself before it is delivered
+        pending = self._pending_self
+        pending[:] = [e for e in pending if not e.cancelled]
+
+        def fire() -> None:
+            pending.remove(event)
+            self.deliver(interrupt)
+
+        event = kernel.schedule_after(delay, fire)
+        pending.append(event)
         return event
 
     def cancel_self_interrupts(self) -> int:

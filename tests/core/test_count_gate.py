@@ -1,19 +1,32 @@
-"""Tier-1 count gate: the work counts of one small fixed RTL
-co-simulation, pinned.
+"""Tier-1 count gate: the work counts of small fixed co-simulations,
+pinned.
 
-The kernel's counters are deterministic for a fixed scenario, and they
-are what an optimisation of the HDL side must not move: one delta cycle
-more per clock, one null message more per window or one waveform event
-less per cell is a modelling change that a wall-clock bound on a shared
-host cannot see.  This is the scenario of ``python -m repro stats`` at
-64 cells (16 CBR cells per port into ``AccountingUnitRtl``), run in
-milliseconds.  A change that moves a number here on purpose edits the
-pin in the same commit and says why.
+The kernels' counters are deterministic for a fixed scenario, and they
+are what an optimisation of either simulator must not move: one delta
+cycle more per clock, one null message more per window, one waveform
+event less per cell or one network event more per cell is a modelling
+change that a wall-clock bound on a shared host cannot see.  The RTL
+scenario is that of ``python -m repro stats`` at 64 cells (16 CBR cells
+per port into ``AccountingUnitRtl``); the behavioural one is the
+four-source bursty mix into ``AccountingUnitBehav`` through taps and an
+``AtmSwitch``.  Both run in milliseconds.  A change that moves a number
+here on purpose edits the pin in the same commit and says why.
 """
+
+import hashlib
+import math
+import random
 
 import pytest
 
+from repro.atm import AtmCell, AtmSwitch
+from repro.behav import AccountingUnitBehav
+from repro.core import CoVerificationEnvironment, TimeBase
+from repro.netsim import SinkModule
 from repro.obs.scenario import run_observed_e1
+from repro.traffic import (MarkovModulatedPoisson, OnOffSource,
+                           ParetoOnOffSource, PoissonArrivals,
+                           TrafficSource)
 
 HDL_COUNTS = {
     "now_ticks": 189358,
@@ -26,6 +39,11 @@ HDL_COUNTS = {
     "compiled_evals": 3713,
     "compiled_commit_writes": 26,
     "compiled_fallbacks": 0,
+}
+NETSIM_COUNTS = {
+    "executed_events": 448,
+    "time_advances": 64,
+    "peak_pending_events": 8,
 }
 SYNC_COUNTS = {
     "messages_posted": 65,
@@ -43,7 +61,11 @@ def report():
 def test_hdl_kernel_counts_are_pinned(report):
     kernel = report["hdl_kernel"]
     assert {key: kernel[key] for key in HDL_COUNTS} == HDL_COUNTS
-    assert report["netsim_kernel"]["executed_events"] == 448
+
+
+def test_netsim_kernel_counts_are_pinned(report):
+    netsim = report["netsim_kernel"]
+    assert {key: netsim[key] for key in NETSIM_COUNTS} == NETSIM_COUNTS
 
 
 def test_synchroniser_counts_are_pinned(report):
@@ -64,3 +86,78 @@ def test_clock_engine_counts_the_cycles_of_an_environment_run(report):
     assert engine["edges_applied"] == 7425
     # one sequential evaluation per rising edge: the DUT is one component
     assert report["hdl_kernel"]["compiled_evals"] == engine["cycles_run"]
+
+
+# ----------------------------------------------------------------------
+# Behavioural DUT under the bursty mix: the network side does all the work
+# ----------------------------------------------------------------------
+def run_behavioural_mix(cells_per_source=32, seed=0):
+    """Four sources (Poisson, on-off, MMPP, Pareto on-off) at mean load
+    0.2 per port, seeded random payloads, each through a tap feeding
+    ``AccountingUnitBehav`` into a 4-port ``AtmSwitch`` and back to a
+    sink.  Returns the netsim kernel snapshot and the DUT records."""
+    timebase = TimeBase.for_line_rate()
+    cell_time = timebase.cell_time_seconds
+    env = CoVerificationEnvironment(timebase=timebase, observe=False)
+    dut = AccountingUnitBehav("acct", timebase=timebase)
+    entity = env.add_dut(behav=dut)
+    switch = AtmSwitch(env.network, "switch", num_ports=4,
+                       cell_time=cell_time)
+    rate = 0.2 / cell_time
+    burst = 10 * cell_time
+    peak_period = burst * math.log1p(1.0 / (2 * rate * burst))
+    base = seed * 1009
+    arrivals = [
+        PoissonArrivals(rate=rate, seed=base),
+        OnOffSource(peak_period=peak_period, mean_on=burst,
+                    mean_off=burst, seed=base + 1),
+        MarkovModulatedPoisson(rate_a=1.5 * rate, rate_b=0.5 * rate,
+                               mean_sojourn_a=burst, mean_sojourn_b=burst,
+                               seed=base + 2),
+        ParetoOnOffSource(peak_period=peak_period, mean_on=burst,
+                          mean_off=burst, alpha=1.9, seed=base + 3),
+    ]
+    for port in range(4):
+        vci = 100 + port
+        switch.install_connection(port, 1, vci, (port + 1) % 4, 1, vci)
+        dut.register(1, vci, units_per_cell=2)
+        rng = random.Random(base + 17 + port)
+        pool = [rng.randbytes(48) for _ in range(cells_per_source)]
+        source = TrafficSource(
+            f"src{port}", arrivals[port], count=cells_per_source,
+            packet_factory=lambda i, v=vci, pool=pool:
+                AtmCell.with_payload(1, v, pool[i]).to_packet())
+        tap = env.make_cell_tap(f"tap{port}", entity)
+        sink = SinkModule("sink")
+        host = env.network.add_node(f"host{port}")
+        for module in (source, tap, sink):
+            host.add_module(module)
+        host.connect(source, 0, tap, 0)
+        host.bind_port_output(0, tap, 0)
+        host.bind_port_input(0, sink, 0)
+        env.network.add_link(host, 0, switch.node, port, rate_bps=155.52e6)
+        env.network.add_link(switch.node, port, host, 0, rate_bps=155.52e6)
+    env.run(until=1.25 * cells_per_source / 0.2 * cell_time)
+    entity.send_tariff_tick(env.network.kernel.now + cell_time)
+    env.finish()
+    return env.network.kernel.stats_snapshot(), list(dut.records)
+
+
+BEHAV_NETSIM_COUNTS = {
+    "executed_events": 889,
+    "time_advances": 504,
+    "peak_pending_events": 12,
+    # the Poisson source's last arrival lies beyond the horizon
+    "pending_events": 1,
+}
+BEHAV_RECORDS_SHA256 = (
+    "40b403d4c940046f16031313bb4780b920de06382a575fa02991ea53e805bec4")
+
+
+def test_behavioural_mix_counts_are_pinned():
+    netsim, records = run_behavioural_mix()
+    assert {key: netsim[key] for key in BEHAV_NETSIM_COUNTS} \
+        == BEHAV_NETSIM_COUNTS
+    assert len(records) == 4
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == BEHAV_RECORDS_SHA256
