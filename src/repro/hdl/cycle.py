@@ -24,15 +24,17 @@ the latter:
   installed, no process is sensitive to or waiting on the clock.  That
   is asked once per stretch and again after every excursion into code
   that could change the answer — never per edge.  A stretch ends at
-  the run's horizon, before the next timed heap event or with the next
-  waveform batch.  Inside it a rising edge is ``sim.now = t``, the
-  kernel's sequential evaluations and a test of the dirty list; a
-  falling edge is not executed at all.  What per-edge evaluation would
-  have counted or stamped (kernel and engine counters, the clock's
-  value, ``change_count``, ``last_event_time``, event stamp) is settled
-  arithmetically before any other code can read it; when an evaluation
-  stages an output change, the stretch settles, runs the commit delta
-  directly and carries on.
+  the run's horizon, before the next timed heap event or with the
+  first waveform batch due off a rising edge.  Inside it a rising edge
+  is ``sim.now = t``, the kernel's sequential evaluations and a test
+  of the dirty list; a falling edge is not executed at all.  What
+  per-edge evaluation would have counted or stamped (kernel and engine
+  counters, the clock's value, ``change_count``, ``last_event_time``,
+  event stamp) is settled arithmetically before any other code can
+  read it.  An edge that stages an output change or has a batch due
+  settles, then runs the commit delta and the batch's post-edge delta
+  in place; only a commit that wakes a process, or a batch with an
+  observer or a completion callback, leaves the stretch.
 * **The general edge** (``_apply_edge``) serves every other one —
   event-backend processes, generator waiters, VCD hooks, falling-edge
   logic, coincident delta work: one inline delta cycle waking the
@@ -111,6 +113,11 @@ class CycleEngine:
         #: rising / all clock edges applied so far (observability)
         self.cycles_run = 0
         self.edges_applied = 0
+        #: quiet stretches run, edges applied by the general path and
+        #: waveform batches applied inside a stretch (cost model)
+        self.stretches = 0
+        self.general_edges = 0
+        self.batches_absorbed = 0
         # Publish the clock geometry so bulk-stimulus compilers (e.g.
         # CellSender's waveform fast path) can place transitions on
         # edges of this clock; _prime() refreshes the anchor.
@@ -179,25 +186,19 @@ class CycleEngine:
         *limit*, leaving time on the last one.  Heap events apply
         before a coincident edge, waveform batches in their own delta
         after it (the event-driven kernel's order).  A quiet stretch
-        (:meth:`_quiet`) runs as whole cycles up to the next heap event
-        or waveform batch; any other edge, and the first one of a
-        stretch too short to hold an edge, is a general one."""
+        (:meth:`_quiet`, :meth:`_run_quiet`) runs as whole cycles; any
+        other edge, and the first one of a stretch too short to hold
+        an edge, is a general one."""
         sim = self.sim
         heap = sim._heap
         wave = sim._wave_heap
         while self._next_edge_time <= limit:
             target = self._next_edge_time
-            if self._quiet():
-                stop = limit + 1
-                if heap and heap[0][0] < stop:
-                    stop = heap[0][0]        # heap work precedes its edge
-                if wave and wave[0][0] < stop:
-                    stop = wave[0][0] + 1    # a batch follows its edge
-                if target < stop:
-                    self._run_quiet(stop)
-                    if wave and wave[0][0] == sim.now:
-                        self._drain_wave_now()
-                    continue
+            if self._quiet() and self._run_quiet(limit):
+                self.stretches += 1
+                if wave and wave[0][0] == sim.now:
+                    self._drain_wave_now()
+                continue
             if (heap and heap[0][0] <= target) or (
                     wave and wave[0][0] < target):
                 self._advance_to(target, wave_at_target=False)
@@ -210,9 +211,9 @@ class CycleEngine:
     def _quiet(self) -> bool:
         """Can the coming clock edges wake nothing but the compiled
         kernel?  Only code run from :meth:`_apply_edge`,
-        :meth:`_advance_to`, :meth:`_drain_wave_now` or a commit that
-        woke a process can change the answer, so it is asked once per
-        stretch, never per edge."""
+        :meth:`_advance_to`, :meth:`_drain_wave_now`, a commit that
+        woke a process or a waveform callback can change the answer,
+        so it is asked once per stretch, never per edge."""
         sim = self.sim
         clk = self.clk
         drivers = clk._drivers
@@ -224,45 +225,95 @@ class CycleEngine:
                 and (clk._value, self._next_edge_value) in (
                     ("0", "1"), ("1", "0")))       # the clock toggles
 
-    def _run_quiet(self, stop: int) -> None:
-        """Whole-cycle clocking of the quiet edges before *stop*: a
-        rising edge is the kernel's sequential evaluations (which see
-        ``sim.now`` and the clock high) and a test of the dirty list,
-        a falling edge nothing.  The bookkeeping is settled
-        (:meth:`_settle`) before anything else can read it: before a
-        commit, before an exception leaves, and at the end.  Returns
-        early once a commit woke a process — that may end the quiet."""
+    def _run_quiet(self, limit: int) -> bool:
+        """Whole-cycle clocking of the quiet edges from the next one
+        up to *limit*, before the next timed heap event or up to the
+        first waveform batch due off a rising edge (which the caller
+        drains after the stretch).  A rising edge is the kernel's
+        sequential evaluations (which see ``sim.now`` and the clock
+        high) and a test of the dirty list, a falling edge nothing.
+        An edge with a staged change or a batch is settled
+        (:meth:`_settle`), then runs the commit delta and the batch's
+        post-edge delta directly; a commit that woke a process, or a
+        batch with an observer or a completion callback, goes through
+        the general delta loop and ends the stretch (either can end the
+        quiet).  Returns False when no edge lies in the stretch."""
         sim = self.sim
         clk = self.clk
+        heap = sim._heap
+        wave = sim._wave_heap
+        first = self._next_edge_time
+        stop = limit + 1
+        if heap and heap[0][0] < stop:
+            stop = heap[0][0]                # heap work precedes its edge
+        due = wave[0][0] if wave else stop
+        if stop <= first or due < first:
+            return False
+        period = self.period
+        rise = first if self._next_edge_value == "1" else \
+            first + self.low_ticks
         kernel = clk._compiled_kernel
-        first_rise = self._next_edge_time
-        if self._next_edge_value == "0":
-            first_rise += self.low_ticks
-        if kernel is not None and kernel._seq_evals and first_rise < stop:
-            evals = kernel._seq_evals
-            dirty = kernel._dirty
-            clk._previous, clk._value = "0", "1"
-            if clk._compiled_slot is not None:
-                clk._compiled_slot.value = "1"
+        evals = kernel._seq_evals if kernel is not None else ()
+        dirty = kernel._dirty if kernel is not None else ()
+        waiters = sim._waiters
+        clk._previous, clk._value = "0", "1"
+        if clk._compiled_slot is not None:
+            clk._compiled_slot.value = "1"
+        while rise < stop and due >= rise:
+            if not evals and due > rise:
+                # nothing to evaluate: skip to the batch's cycle
+                rise += (min(due, stop - 1) - rise) // period * period
+            sim.now = rise
             try:
-                for now in range(first_rise, stop, self.period):
-                    sim.now = now
-                    for evaluate in evals:
-                        evaluate()
-                    if dirty:
-                        # The commit delta, run directly: one round
-                        # holding only the commit process.
-                        self._settle(now)
-                        sim.delta_cycles += 1
-                        sim._run_process(kernel._commit_proc)
-                        if sim._pending_updates or sim._pending_resumes:
-                            sim._execute_deltas()
-                            return
-                        sim._delta_stamp += 1
+                for evaluate in evals:
+                    evaluate()
             except BaseException:
-                self._settle(sim.now)
+                self._settle(rise)
+                kernel.evals_run -= len(evals)   # as _on_edge counts
                 raise
+            if dirty or due == rise:
+                self._settle(rise)
+                if dirty:
+                    # The commit delta: one round holding only the
+                    # commit process.
+                    sim.delta_cycles += 1
+                    commit = kernel._commit_proc
+                    commit.runs += 1
+                    sim._current_process = commit
+                    try:
+                        kernel._commit()
+                        kernel._run_comb()
+                    finally:
+                        sim._current_process = None
+                    sim.process_runs += 1
+                    if sim._pending_resumes:
+                        sim._execute_deltas()
+                        return True
+                    sim._delta_stamp += 1
+                if due == rise:
+                    fired = sim._collect_wave_due(rise)
+                    updates = sim._pending_updates
+                    for signal, _driver, _value in updates:
+                        if (signal._sensitive or signal._sensitive_rise
+                                or signal._compiled_kernel
+                                or signal is clk
+                                or waiters.get(id(signal))):
+                            fired = True             # an observer
+                            break
+                    if fired:
+                        sim._execute_deltas()
+                        return True
+                    # the post-edge delta of a batch that wakes no one
+                    sim._pending_updates = []
+                    sim._apply_updates(updates)
+                    sim._delta_stamp += 1
+                    self.batches_absorbed += 1
+                    due = wave[0][0] if wave else stop
+            rise += period
+        if due < stop:
+            stop = due + 1                   # a batch follows its edge
         self._settle(stop - 1)
+        return True
 
     def _settle(self, through: int) -> None:
         """Account for the quiet edges from the next scheduled one up
@@ -329,6 +380,7 @@ class CycleEngine:
         sim = self.sim
         clk = self.clk
         self.edges_applied += 1
+        self.general_edges += 1
         value = self._next_edge_value
         if value == "1":
             self.cycles_run += 1
@@ -417,6 +469,9 @@ class CycleEngine:
             "period_ticks": self.period,
             "cycles_run": self.cycles_run,
             "edges_applied": self.edges_applied,
+            "stretches": self.stretches,
+            "general_edges": self.general_edges,
+            "batches_absorbed": self.batches_absorbed,
         }
 
     def _advance_to(self, target: int,

@@ -9,7 +9,9 @@ change that a wall-clock bound on a shared host cannot see.  The RTL
 scenario is that of ``python -m repro stats`` at 64 cells (16 CBR cells
 per port into ``AccountingUnitRtl``); the behavioural one is the
 four-source bursty mix into ``AccountingUnitBehav`` through taps and an
-``AtmSwitch``.  Both run in milliseconds.  A change that moves a number
+``AtmSwitch``; the response-path one sends random payloads through
+``AtmPortModuleRtl`` coupled with ``rx_port`` and ``tx_port``.  All run
+in milliseconds.  A change that moves a number
 here on purpose edits the pin in the same commit and says why.
 """
 
@@ -24,6 +26,7 @@ from repro.behav import AccountingUnitBehav
 from repro.core import CoVerificationEnvironment, TimeBase
 from repro.netsim import SinkModule
 from repro.obs.scenario import run_observed_e1
+from repro.rtl import AtmPortModuleRtl
 from repro.traffic import (MarkovModulatedPoisson, OnOffSource,
                            ParetoOnOffSource, PoissonArrivals,
                            TrafficSource)
@@ -52,6 +55,12 @@ SYNC_COUNTS = {
     "windows_granted": 17,
 }
 
+ENGINE_COUNTS = {
+    "stretches": 83,
+    "general_edges": 1,
+    "batches_absorbed": 381,
+}
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -72,6 +81,14 @@ def test_synchroniser_counts_are_pinned(report):
     (entity,) = report["entities"]
     assert entity["cells_in"] == 64
     assert {key: entity["sync"][key] for key in SYNC_COUNTS} == SYNC_COUNTS
+
+
+def test_clock_engine_stretch_counts_are_pinned(report):
+    """How the engine clocked the run: quiet stretches, edges through
+    the general path and waveform batches applied inside a stretch
+    (the cost model's inputs; none of them is counted per quiet edge)."""
+    engine = report["clock_engine"]
+    assert {key: engine[key] for key in ENGINE_COUNTS} == ENGINE_COUNTS
 
 
 def test_clock_engine_counts_the_cycles_of_an_environment_run(report):
@@ -161,3 +178,87 @@ def test_behavioural_mix_counts_are_pinned():
     assert len(records) == 4
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == BEHAV_RECORDS_SHA256
+
+
+# ----------------------------------------------------------------------
+# The response path: random payloads through a port module and back
+# ----------------------------------------------------------------------
+def run_port_module(cells_per_source=8, seed=0):
+    """Four Poisson sources at load 0.2 per port with seeded random
+    payloads, each through a tap into ``AtmPortModuleRtl`` (header
+    translation VCI -> VCI + 100) coupled with ``rx_port`` and
+    ``tx_port``.  Returns the environment and the entity."""
+    timebase = TimeBase.for_line_rate()
+    cell_time = timebase.cell_time_seconds
+    env = CoVerificationEnvironment(timebase=timebase, observe=False)
+    dut = AtmPortModuleRtl(env.hdl, "port", env.clk)
+    entity = env.add_dut(rx_port=dut.rx, tx_port=dut.tx)
+    switch = AtmSwitch(env.network, "switch", num_ports=4,
+                       cell_time=cell_time)
+    for port in range(4):
+        vci = 100 + port
+        switch.install_connection(port, 1, vci, (port + 1) % 4, 1, vci)
+        dut.install(1, vci, 2, vci + 100)
+        rng = random.Random(seed * 1009 + 17 + port)
+        pool = [rng.randbytes(48) for _ in range(cells_per_source)]
+        source = TrafficSource(
+            f"src{port}", PoissonArrivals(rate=0.2 / cell_time,
+                                          seed=seed * 1009 + port),
+            count=cells_per_source,
+            packet_factory=lambda i, v=vci, pool=pool:
+                AtmCell.with_payload(1, v, pool[i]).to_packet())
+        tap = env.make_cell_tap(f"tap{port}", entity)
+        sink = SinkModule("sink")
+        host = env.network.add_node(f"host{port}")
+        for module in (source, tap, sink):
+            host.add_module(module)
+        host.connect(source, 0, tap, 0)
+        host.bind_port_output(0, tap, 0)
+        host.bind_port_input(0, sink, 0)
+        env.network.add_link(host, 0, switch.node, port, rate_bps=155.52e6)
+        env.network.add_link(switch.node, port, host, 0, rate_bps=155.52e6)
+    env.run()
+    env.finish()
+    return env, entity
+
+
+PORT_HDL_COUNTS = {
+    "now_ticks": 154675,
+    "events_executed": 7884,
+    "signal_events": 7880,
+    "delta_cycles": 9470,
+    "process_runs": 1703,
+    "waveforms_scheduled": 32,
+    "waveform_events": 1816,
+    "pending_events": 0,
+    "signals": 7,
+    "processes": 1,
+    "compiled_components": 2,
+    "compiled_evals": 6066,
+    "compiled_commit_writes": 1779,
+    "compiled_fallbacks": 0,
+}
+PORT_SYNC_COUNTS = {
+    "messages_posted": 32,
+    "null_messages": 125,
+    "null_messages_coalesced": 86,
+    "windows_granted": 32,
+    "messages_released": 32,
+    "ticks_simulated": 149269,
+}
+PORT_OUTPUT_SHA256 = (
+    "b12c6fc33cf8354ee4aed5d853347d2cf4522050af482bf2acc0eb058ac92867")
+
+
+def test_response_path_counts_are_pinned():
+    env, entity = run_port_module()
+    assert env.hdl.stats_snapshot() == PORT_HDL_COUNTS
+    snapshot = entity.snapshot()
+    assert {key: snapshot["sync"][key] for key in PORT_SYNC_COUNTS} \
+        == PORT_SYNC_COUNTS
+    assert (snapshot["cells_in"], snapshot["output_cells"]) == (32, 32)
+    # every output cell with the HDL time it left the DUT
+    outputs = [(when, cell.to_octets())
+               for when, cell in entity.output_cells]
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == PORT_OUTPUT_SHA256

@@ -3,7 +3,10 @@
 The engine runs *quiet* stretches of clock edges as compiled
 evaluations plus arithmetic and every other edge through the general
 ``_apply_edge``.  The promise is that nobody can tell: a generated
-schedule of ``run(until=)`` slices, waveforms, timed events, edge
+schedule of ``run(until=)`` slices, waveforms (on and off the rising
+edges, onto signals read only by the compiled kernel or by an event
+process, with completion callbacks that add a signal hook, schedule a
+timed event or park a waiter on the clock), timed events, edge
 waiters, a VCD hook attached mid-run and falling-edge logic is replayed
 on the same compiled design under
 
@@ -51,16 +54,21 @@ class Bench:
                 sim.signal_hooks.append(lambda _signal: None)
         self.d = sim.signal("d", width=4, init=0)
         self.en = sim.signal("en", init="0")
-        self.outputs = [self.d, self.en]
+        # read by an event process: a batch onto it wakes someone
+        self.obs = sim.signal("obs", width=4, init=0)
+        sim.add_process("on_obs", lambda _s: self.note("obs"),
+                        sensitivity=[self.obs])
+        self.outputs = [self.d, self.en, self.obs]
         self.committed = (self.d,)
         if compiled:
             reg = Register(sim, "reg", clk, self.d)
             cnt = Counter(sim, "cnt", clk, width=3, enable=self.en)
             self.outputs += [reg.q, cnt.q]
             self.committed = (reg.q, cnt.q)
-            # woken by the commit: runs in the delta after it
-            sim.add_process("on_q", lambda _s: self.note("q"),
-                            sensitivity=[reg.q, cnt.q])
+            if compiled != "unread":
+                # woken by the commit: runs in the delta after it
+                sim.add_process("on_q", lambda _s: self.note("q"),
+                                sensitivity=[reg.q, cnt.q])
         if falling_logic:
             falls = sim.signal("falls", width=4, init=0)
             self.outputs.append(falls)
@@ -110,6 +118,16 @@ class Bench:
             sim.schedule_waveform(
                 [(offset, getattr(self, name), value)
                  for offset, name, value in action[1]])
+        elif kind == "edges":
+            # transitions on rising edges (shifted off them by *shift*)
+            # and a completion callback on the last one
+            _kind, items, shift, callback = action
+            base = sim.next_rising_edge(self.clk) + shift - sim.now
+            transitions = [(base + k * self.period, getattr(self, name),
+                            value) for k, name, value in items]
+            last = transitions[-1][0] if transitions else base
+            sim.schedule_waveform(transitions, callbacks=[
+                (last, lambda: self.on_batch(callback, keep_off_edges))])
         elif kind == "timed":
             self.drive_later(*action[1:], keep_off_edges)
         elif kind == "chaser":
@@ -136,6 +154,19 @@ class Bench:
                     if drives:
                         self.d.drive((index * 5 + drives) % 16)
             sim.add_generator(tag, waiter())
+
+    def on_batch(self, callback, keep_off_edges):
+        """A waveform completion callback: every kind but ``none`` ends
+        the quiet."""
+        sim = self.sim
+        self.note(f"batch-{callback}")
+        if callback == "hook":
+            sim.signal_hooks.append(lambda signal: self.log.append(
+                ("hook", sim.now, signal.name, signal.value)))
+        elif callback == "timed":
+            self.drive_later("d", 11, self.period + 1, keep_off_edges)
+        elif callback == "waiter":
+            self.act(("waiter", RisingEdge, 2, 1), keep_off_edges)
 
     def finish(self):
         if self.vcd is not None:
@@ -164,7 +195,9 @@ def replay(clocking, scenario, directory, keep_off_edges):
         bench.sim.run(until=bench.sim.now + ticks)
     result = bench.finish()
     if bench.engine is not None:
-        result["engine"] = bench.engine.stats_snapshot()
+        engine = bench.engine.stats_snapshot()
+        # the stretch/batch counts describe the clocking path itself
+        result["engine"] = (engine["cycles_run"], engine["edges_applied"])
     return result
 
 
@@ -182,7 +215,8 @@ def assert_indistinguishable(scenario, directory):
 
 SIGNAL_VALUES = st.one_of(
     st.tuples(st.just("d"), st.integers(0, 15)),
-    st.tuples(st.just("en"), st.sampled_from(["0", "1"])))
+    st.tuples(st.just("en"), st.sampled_from(["0", "1"])),
+    st.tuples(st.just("obs"), st.integers(0, 15)))
 
 
 @st.composite
@@ -194,9 +228,19 @@ def scenarios(draw):
         st.tuples(st.integers(0, span), SIGNAL_VALUES), max_size=5).map(
             lambda items: [(offset, name, value) for offset, (name, value)
                            in sorted(items, key=lambda item: item[0])])
+    edges = st.tuples(
+        st.just("edges"),
+        st.lists(st.tuples(st.integers(0, 3), SIGNAL_VALUES),
+                 max_size=4).map(
+            lambda items: [(k, name, value) for k, (name, value)
+                           in sorted(items, key=lambda i: i[0])]),
+        # on the rising edges, or shifted off them in a third
+        st.one_of(st.just(0), st.just(0), st.integers(1, period - 1)),
+        st.sampled_from(["none", "hook", "timed", "waiter"]))
     action = st.one_of(
         st.just(("none",)),
         st.tuples(st.just("wave"), transitions),
+        edges, edges,      # batches inside a stretch: drawn twice as often
         st.tuples(st.just("timed"), SIGNAL_VALUES,
                   st.integers(1, span)).map(
                       lambda t: ("timed", t[1][0], t[1][1], t[2])),
@@ -209,9 +253,14 @@ def scenarios(draw):
     steps = draw(st.lists(st.tuples(action, st.integers(0, span + 7)),
                           min_size=1, max_size=8))
     return (period, duty,
-            draw(st.sampled_from([True, True, True, False])),  # compiled
+            # compiled design: its outputs read by an event process,
+            # by no one (commits stay inside a stretch), or no design
+            draw(st.sampled_from([True, True, "unread", "unread", False])),
             draw(st.sampled_from([False, False, True])),  # falling logic
-            steps, draw(st.integers(0, len(steps))))
+            # the step that attaches the VCD writer (its hook ends every
+            # stretch for good), or none in half the schedules
+            steps, draw(st.one_of(st.just(len(steps)),
+                                  st.integers(0, len(steps)))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,6 +300,23 @@ REGRESSIONS = {
     "no-kernel-waveform-in-first-half-period": (10, 5, False, False, [
         (("wave", [(2, "d", 1), (5, "d", 2), (10, "d", 3)]), 4),
         (("none",), 57)], 5),
+    # an edge-aligned batch onto a signal an event process reads
+    "batch-wakes-an-event-reader": (4, 1, True, False, [
+        (("none",), 0), (("none",), 5),
+        (("wave", [(2, "obs", 1)]), 2)], 3),
+    # a batch one tick after a rising edge applies there, not on the next
+    "batch-just-off-a-rising-edge": (4, 1, True, False, [
+        (("edges", [], 1, "none"), 7)], 1),
+    # a callback-only batch on a rising edge opens no delta
+    "callback-only-batch-on-a-rising-edge": (4, 1, "unread", False, [
+        (("edges", [], 0, "none"), 0), (("timed", "d", 0, 3), 3)], 2),
+    # completion callbacks that end the quiet inside a stretch
+    "callback-adds-a-signal-hook": (4, 1, True, False, [
+        (("none",), 5), (("edges", [], 0, "hook"), 3)], 2),
+    "callback-schedules-a-timed-event": (10, 5, "unread", False, [
+        (("edges", [(0, "d", 3), (1, "en", "1")], 0, "timed"), 60)], 1),
+    "callback-parks-a-clock-waiter": (10, 5, "unread", False, [
+        (("edges", [(0, "d", 3), (1, "en", "1")], 0, "waiter"), 60)], 1),
 }
 
 
@@ -290,3 +356,36 @@ def test_an_evaluation_that_raises_leaves_the_clock_consistent():
     sim.run(until=100)
     assert calls == [5, 15, 25, 35, 45, 55, 65, 75, 85, 95]
     assert sim.now == 100 and engine.edges_applied == 20
+
+
+@pytest.mark.parametrize("clocking", ["cycle", "general"])
+def test_an_edge_whose_evaluation_raises_counts_no_evaluations(clocking):
+    """``compiled_evals`` counts only edges whose sequential
+    evaluations all completed, whichever path clocked them (the quiet
+    path used to credit the edge that raised as well)."""
+    from repro.hdl import compile_kernel
+
+    sim = Simulator()
+    clk = sim.signal("clk", init="0")
+    engine = CycleEngine(sim, clk, period=10)
+    if clocking == "general":
+        sim.signal_hooks.append(lambda _signal: None)
+    calls = []
+
+    def bomb(ctx):
+        def evaluate():
+            calls.append(sim.now)
+            if len(calls) == 5:
+                raise RuntimeError("boom")
+        return evaluate
+
+    kernel = compile_kernel(sim, clk)
+    kernel.add_seq("bomb", bomb)
+    kernel.add_seq("idle", lambda ctx: lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run(until=200)
+    stats = sim.stats_snapshot()
+    assert calls == [5, 15, 25, 35, 45]
+    assert stats["compiled_evals"] == 8
+    assert (engine.edges_applied, stats["delta_cycles"],
+            stats["events_executed"]) == (9, 10, 10)
