@@ -29,7 +29,8 @@ Small operational conveniences for exploring the reproduction:
 * ``shard`` — run a sharded multi-switch topology (one worker process
   per DUT shard, coupled over pipes or sockets by the conservative
   protocol); ``--mode both`` additionally replays the identical op
-  stream in-process and diffs the output digests; ``--observe`` and
+  stream in-process and diffs the output digests and every shard's
+  modelled results and op count; ``--observe`` and
   ``--trace-dir`` turn on distributed telemetry — coordinator-stamped
   trace ids, per-shard span streams, merged coverage counters (see
   ``docs/api/shard.md``);
@@ -548,6 +549,21 @@ def _print_topology_report(report: Dict[str, object]) -> None:
     print(f"  digest {report['digest'][:16]}…")
 
 
+def _first_result_divergence(local: Dict[str, object],
+                             sharded: Dict[str, object]) -> Optional[str]:
+    """The first per-shard modelled quantity (a ``result`` key, or the
+    op count shipped) on which two topology reports disagree, as
+    ``"<shard>: <key>"``, or None when all agree."""
+    for ref, got in zip(local["shards"], sharded["shards"]):
+        for key in ("clocks", "cells_in", "output_cells", "counters",
+                    "records"):
+            if ref["result"][key] != got["result"][key]:
+                return f"{ref['id']}: result[{key!r}]"
+        if ref["exchange"]["ops_sent"] != got["exchange"]["ops_sent"]:
+            return f"{ref['id']}: ops_sent"
+    return None
+
+
 def _cmd_shard(args: argparse.Namespace) -> int:
     # Lazy import — the topology pulls in the whole stack.
     from repro.shard import (ShardError, ShardSpec, ShardSpecError,
@@ -610,6 +626,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 for shard in reports[mode]["shards"]:
                     print(f"    {mode}/{shard['id']}: "
                           f"{shard['digests']}", file=sys.stderr)
+        divergence = _first_result_divergence(reports["local"],
+                                              reports["sharded"])
+        if divergence is None:
+            print("  modelled results and op counts identical across "
+                  "modes")
+        else:
+            matched = False
+            print(f"  DIVERGED: {divergence} differs between local and "
+                  "sharded", file=sys.stderr)
     _write_json(args.json, reports[modes[-1]] if len(modes) == 1 else {
         "benchmark": "shard_topology",
         "modes": reports,
@@ -831,7 +856,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     shard.add_argument("--mode", default="sharded",
                        choices=("sharded", "local", "both"),
                        help="sharded processes, in-process reference, "
-                            "or both + digest diff (default sharded)")
+                            "or both + digest and result diff "
+                            "(default sharded)")
     shard.add_argument("--trace-dir", default=None,
                        help="write one JSONL decision trace per "
                             "shard to this directory")

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..atm.cell import AtmCell
 from ..core.contract import DutContract
@@ -66,6 +67,9 @@ class _HandleBase:
                                        for _ in range(num_ports)]
         self._out_blobs: List[bytearray] = [bytearray()
                                             for _ in range(num_ports)]
+        #: per-window output marks: the per-port output counts once
+        #: every op flushed up to that window's close is replayed
+        self._marks: List[List[int]] = []
         self.result: Optional[Dict[str, Any]] = None
         self.ops_sent = 0
         self._last_null = float("-inf")
@@ -105,6 +109,22 @@ class _HandleBase:
         batch, self._batch = self._batch, OpBatch()
         self.ops_sent += len(batch)
         return batch
+
+    def _record_mark(self) -> None:
+        self._marks.append([len(times) for times in self._out_times])
+
+    def _close_window(self) -> None:
+        """Flush a window's ops and set its output mark (locally the
+        replay is done when ``flush`` returns)."""
+        self.flush()
+        self._record_mark()
+
+    def _window_mark(self, window: int) -> List[int]:
+        """The mark of the *window*-th :meth:`_close_window`; a remote
+        handle drains acks only until that mark is set."""
+        while len(self._marks) <= window:
+            self._drain_ack()
+        return self._marks[window]
 
     def _store_packed(self, packed) -> None:
         """File one ack's output columns into the per-port collectors
@@ -184,13 +204,6 @@ class _HandleBase:
                      verify_hec=False))
                 for i in range(len(times))]
 
-    def output_octets(self, port: int) -> List[bytes]:
-        """The raw 53-octet images of *port*'s output stream — the
-        byte-identical comparison basis of the equivalence tests."""
-        blob = self._out_blobs[port]
-        return [bytes(blob[i * CELL_OCTETS:(i + 1) * CELL_OCTETS])
-                for i in range(len(self._out_times[port]))]
-
     def output_blob(self, port: int) -> bytes:
         """*port*'s whole output stream as one contiguous octet blob
         (53 octets per cell, stream order) — the per-port digests
@@ -242,6 +255,8 @@ class ShardHandle(_HandleBase):
         self.process = process
         self._seq = 0
         self._inflight = 0
+        #: seqs of the frames whose acks set the pending window marks
+        self._mark_seqs: Deque[int] = deque()
 
     # -- failure shaping ----------------------------------------------
     def _died(self, exc: TransportClosed) -> protocol.ShardError:
@@ -276,9 +291,21 @@ class ShardHandle(_HandleBase):
                 {"type": "ProtocolError",
                  "message": f"expected ack, got {kind!r}",
                  "traceback": ""})
-        _, outputs = payload
+        seq, outputs = payload
         self._store_packed(outputs)
         self._inflight -= 1
+        while self._mark_seqs and self._mark_seqs[0] <= seq:
+            self._mark_seqs.popleft()
+            self._record_mark()
+
+    def _close_window(self) -> None:
+        """Flush a window's ops; its mark is set by the ack of the last
+        frame sent so far."""
+        self.flush()
+        if self._inflight:
+            self._mark_seqs.append(self._seq)
+        else:
+            self._record_mark()
 
     # -- exchange ------------------------------------------------------
     def flush(self) -> None:

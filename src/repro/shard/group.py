@@ -4,10 +4,8 @@
 :class:`~repro.core.CoVerificationEnvironment` hosting the shard's
 swappable DUTs (built through :func:`repro.behav.factory.build_dut`,
 so ``level="rtl"|"behav"|"auto"`` works per shard) and exposes one
-way to drive them: replaying the coordinator's op log in order —
-:meth:`apply_packed` for the columnar batches the binary codec
-produces (the hot path, decode-free: cells are sliced straight out of
-the received blob) and :meth:`apply_ops` for classic op-tuple lists.
+way to drive them: replaying the coordinator's op log in order with
+:meth:`apply_packed`, one columnar batch at a time.
 
 This is the linchpin of the sharded-equals-local guarantee: the shard
 *worker process* replays ops it received over a transport, and the
@@ -33,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..atm.cell import AtmCell
 from ..behav.factory import DutHandle, build_dut
 from ..core.environment import CoVerificationEnvironment
-from . import codec, protocol
+from . import codec
 
 __all__ = ["ShardGroup"]
 
@@ -106,52 +104,17 @@ class ShardGroup:
     # ------------------------------------------------------------------
     # Op replay
     # ------------------------------------------------------------------
-    def apply_ops(self, ops: List[protocol.Op]) -> None:
-        """Replay a batch of ops in order.
-
-        Op shapes (see :mod:`repro.shard.protocol`):
-        ``(OP_CELL, t, port, octets)`` delivers the 53-octet cell to
-        switch ingress *port* and (when present) the accounting unit;
-        ``(OP_NULL, t)`` advances every entity's horizon;
-        ``(OP_TICK, t)`` pulses the accounting tariff tick.
-        """
-        switch_entities = self.switch.entities
-        acct = self.accounting.entity if self.accounting else None
-        for op in ops:
-            code = op[0]
-            if code == protocol.OP_CELL:
-                _, t, port, octets = op
-                cell = AtmCell.from_octets(octets, verify_hec=False)
-                switch_entities[port].send_cell(t, cell)
-                if acct is not None:
-                    acct.send_cell(t, cell)
-            elif code == protocol.OP_NULL:
-                t = op[1]
-                for entity in switch_entities:
-                    entity.advance_time(t)
-                if acct is not None:
-                    acct.advance_time(t)
-            elif code == protocol.OP_TICK:
-                if acct is None:
-                    raise ValueError(
-                        f"shard {self.shard_id!r} has no accounting "
-                        "unit to tick")
-                acct.send_tariff_tick(op[1])
-            else:
-                raise ValueError(f"unknown op code {code!r}")
-            self.ops_applied += 1
-
     def apply_packed(self, packed) -> None:
         """Replay one :class:`~repro.shard.codec.PackedOps` batch.
 
-        The decode-free twin of :meth:`apply_ops`: cells are sliced
-        straight out of the received blob (``memoryview`` slices into
-        the transport's receive buffer — :meth:`AtmCell.from_octets`
-        copies the 53 octets immediately, so nothing outlives the
-        buffer) and no per-op tuple is ever built.  Both the worker
-        process and the local reference mode replay through this one
-        method, preserving the byte-identity-by-construction argument
-        of :meth:`apply_ops`.
+        Decode-free: cells are sliced straight out of the received
+        blob (``memoryview`` slices into the transport's receive
+        buffer — :meth:`AtmCell.from_octets` copies the 53 octets
+        immediately, so nothing outlives the buffer) and no per-op
+        tuple is ever built.  Op codes: a cell delivers its 53 octets
+        to switch ingress *port* and (when present) the accounting
+        unit, a null advances every entity's horizon, a tick pulses
+        the accounting tariff tick.
         """
         switch_entities = self.switch.entities
         acct = self.accounting.entity if self.accounting else None

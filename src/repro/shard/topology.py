@@ -22,11 +22,13 @@ Timing discipline: events are applied in *windows* of
 each shard's events (cells/ticks, each followed by a null at its
 timestamp), closes the window with a null at the window-end time, and
 flushes — the pipelined frames overlap shard compute with coordinator
-op generation.  At the window barrier, chained topologies forward the
-fresh output cells of shard *k* into shard *k+1*, re-stamped
-``max(output_time, window_end)`` so the forwarded post can never land
-behind the downstream shard's horizon (the distributed form of the
-conservative protocol's lookahead guarantee).
+op generation.  Chained topologies are a pipeline without barriers:
+before its window-*w* ops, shard *k+1* gets exactly shard *k*'s
+outputs up to its window *w-1* mark (per-port output counts once that
+window is replayed), re-stamped ``max(output_time, t_end(w-1))`` so
+the post can never land behind its horizon (the conservative
+protocol's lookahead, one level up).  Shard *k* replays window *w*
+while shard *k+1* replays *w-1*, and no op log depends on ack timing.
 """
 
 from __future__ import annotations
@@ -504,18 +506,21 @@ def _shard_events(spec: TopologySpec) -> List[List[tuple]]:
     return streams
 
 
-def _forward(src, dst, cursors: List[int], not_before: float) -> None:
-    """Forward *src*'s fresh output cells into *dst*'s matching
+def _forward(src, dst, cursors: List[int], not_before: float,
+             upto: Optional[List[int]] = None) -> None:
+    """Forward *src*'s output cells from *cursors* up to the per-port
+    counts *upto* (default: all collected) into *dst*'s matching
     ingress ports, re-stamped ``max(output_time, not_before)`` so the
     post can never land behind the downstream horizon.  The trace id
     rides along, so an observed cell hopping shards keeps one
     provenance chain."""
     for port in range(src.num_ports):
-        count = src.output_count(port)
+        start = cursors[port]
+        stop = src.output_count(port) if upto is None else upto[port]
         for when, octets, tid in src.drain_outputs(port,
-                                                   cursors[port]):
+                                                   start)[:stop - start]:
             dst.queue_cell(max(when, not_before), port, octets, tid)
-        cursors[port] = count
+        cursors[port] = stop
 
 
 def _digest(handle) -> Dict[str, str]:
@@ -575,12 +580,20 @@ def run_topology(spec: TopologySpec,
     try:
         cursors = [0] * len(handles)
         fwd_cursors = [[0] * handle.num_ports for handle in handles]
-        window_end = 0
+        window = window_end = 0
         while window_end <= last_slot + spec.window_slots * \
                 spec.drain_windows:
+            t_prev = window_end * cell_s
             window_end += spec.window_slots
             t_end = window_end * cell_s
             for index, handle in enumerate(handles):
+                if spec.chain and index and window:
+                    # Shard k runs one window behind shard k-1: it
+                    # gets exactly the outputs up to k-1's mark of the
+                    # previous window, then its own window's ops.
+                    upstream = handles[index - 1]
+                    _forward(upstream, handle, fwd_cursors[index - 1],
+                             t_prev, upstream._window_mark(window - 1))
                 events = streams[index]
                 cursor = cursors[index]
                 while (cursor < len(events)
@@ -595,28 +608,19 @@ def run_topology(spec: TopologySpec,
                     cursor += 1
                 cursors[index] = cursor
                 handle.queue_null(t_end)
-                handle.flush()
-            if spec.chain:
-                # Chained topologies need every shard's window outputs
-                # before forwarding, so the window ends in a barrier.
-                # Independent shards skip it: the pipeline window
-                # (max_inflight) is the only throttle, and the op
-                # stream — hence the replay — is identical either way.
-                for handle in handles:
-                    handle.barrier()
-                for index in range(len(handles) - 1):
-                    _forward(handles[index], handles[index + 1],
-                             fwd_cursors[index], t_end)
-                    handles[index + 1].flush()
+                handle._close_window()
+            window += 1
         t_final = (window_end + 8) * cell_s
         results = []
         for index, handle in enumerate(handles):
+            if spec.chain and index:
+                # The last window's outputs, then the upstream drain's
+                # residual ones, make their final hop.
+                upstream, fwd = handles[index - 1], fwd_cursors[index - 1]
+                _forward(upstream, handle, fwd, t_end,
+                         upstream._window_mark(window - 1))
+                _forward(upstream, handle, fwd, t_final)
             results.append(handle.finish(t_final))
-            if spec.chain and index + 1 < len(handles):
-                # Residual outputs surfaced by the drain still make
-                # their final hop before the downstream shard settles.
-                _forward(handles[index], handles[index + 1],
-                         fwd_cursors[index], t_final)
         wall = _time.perf_counter() - started
         telemetry: Optional[Dict[str, Any]] = None
         if spec.observe or spec.trace_dir is not None:

@@ -10,7 +10,8 @@ scenario is that of ``python -m repro stats`` at 64 cells (16 CBR cells
 per port into ``AccountingUnitRtl``); the behavioural one is the
 four-source bursty mix into ``AccountingUnitBehav`` through taps and an
 ``AtmSwitch``; the response-path one sends random payloads through
-``AtmPortModuleRtl`` coupled with ``rx_port`` and ``tx_port``.  All run
+``AtmPortModuleRtl`` coupled with ``rx_port`` and ``tx_port``; the shard
+one is a two-shard behavioural chain replayed in-process.  All run
 in milliseconds.  A change that moves a number
 here on purpose edits the pin in the same commit and says why.
 """
@@ -27,6 +28,7 @@ from repro.core import CoVerificationEnvironment, TimeBase
 from repro.netsim import SinkModule
 from repro.obs.scenario import run_observed_e1
 from repro.rtl import AtmPortModuleRtl
+from repro.shard import ShardSpec, TopologySpec, run_topology
 from repro.traffic import (MarkovModulatedPoisson, OnOffSource,
                            ParetoOnOffSource, PoissonArrivals,
                            TrafficSource)
@@ -262,3 +264,36 @@ def test_response_path_counts_are_pinned():
                for when, cell in entity.output_cells]
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == PORT_OUTPUT_SHA256
+
+
+# ----------------------------------------------------------------------
+# A two-shard behavioural chain: what the chain driver feeds each shard
+# ----------------------------------------------------------------------
+CHAIN_COUNTS = {
+    # shard: (ops_sent, cells_in, output_cells, clocks, records sha256)
+    "shard0": (74, 32, 23, 5141, "8becf429d59764a07650b1dbe902801c"
+                                 "8bd717b4df5ac426dea66e102d486bbf"),
+    "shard1": (96, 55, 49, 5565, "06c197464c00af7e739640bdc8ef45ae"
+                                 "0da25e133073bd8c3971b886e0f47c80"),
+}
+CHAIN_DIGEST = (
+    "2a90ef30fb34eb94ac1afde0397c571daed1ed4438c12517ccae894d30dfb4f1")
+
+
+def test_two_shard_chain_counts_are_pinned():
+    """``ops_sent`` and the downstream ``cells_in`` move with any change
+    to which outputs are forwarded in which window; the digest and the
+    record hashes move with any change to how a shard replays them."""
+    spec = TopologySpec(shards=[ShardSpec("shard0", level="behav"),
+                                ShardSpec("shard1", level="behav")],
+                        cells=32, seed=0, chain=True, window_slots=32)
+    report = run_topology(spec, mode="local")
+    counts = {}
+    for shard in report["shards"]:
+        result = shard["result"]
+        counts[shard["id"]] = (
+            shard["exchange"]["ops_sent"], result["cells_in"],
+            result["output_cells"], result["clocks"],
+            hashlib.sha256(repr(result["records"]).encode()).hexdigest())
+    assert counts == CHAIN_COUNTS
+    assert report["digest"] == CHAIN_DIGEST

@@ -173,6 +173,25 @@ def test_mixed_level_chain_at_volume_byte_identical():
     assert sharded["shards"][1]["result"]["cells_in"] > spec.cells
 
 
+def test_three_shard_chain_results_identical_to_local():
+    """A third hop forwards the same cells in both modes.  The shard
+    after the middle one used to receive the middle shard's replies to
+    freshly forwarded cells whenever their acks happened to be in
+    (always locally, by timing when sharded): the digest matched, but
+    the unknown third-hop cells still occupied its ingress, so its
+    ``clocks`` read 7,795 locally and 10,388 sharded."""
+    spec = TopologySpec(
+        shards=[ShardSpec(f"s{i}", level="behav") for i in range(3)],
+        cells=32, seed=3, chain=True, window_slots=64, max_inflight=1,
+        max_batch=4)
+    local = run_topology(spec, mode="local")
+    sharded = run_topology(spec, mode="sharded")
+    for ref, got in zip(local["shards"], sharded["shards"]):
+        assert ref["result"] == got["result"], ref["id"]
+        assert ref["exchange"]["ops_sent"] == got["exchange"]["ops_sent"]
+    assert local["digest"] == sharded["digest"]
+
+
 def test_determinism_same_seed_same_digest():
     spec = TopologySpec(cells=12, seed=5, chain=True, **BEHAV2)
     first = run_topology(spec, mode="local")

@@ -209,6 +209,34 @@ def test_shard_both_modes_digests_match(capsys):
     assert "byte-identical across modes" in out
 
 
+def test_shard_both_modes_diffs_modelled_results(capsys):
+    """A three-shard chain matches in every shard's modelled results
+    and op count, not only in the output digest."""
+    assert main(["shard", "--shards", "3", "--levels", "behav",
+                 "--cells", "16", "--chain", "--mode", "both"]) == 0
+    out = capsys.readouterr().out
+    assert "modelled results and op counts identical" in out
+
+
+def test_shard_both_modes_names_first_result_divergence(capsys,
+                                                        monkeypatch):
+    import repro.shard
+    real = repro.shard.run_topology
+
+    def skewed(spec, mode="sharded"):
+        report = real(spec, mode=mode)
+        if mode == "sharded":
+            report["shards"][1]["result"]["clocks"] += 1
+        return report
+
+    monkeypatch.setattr(repro.shard, "run_topology", skewed)
+    assert main(["shard", "--shards", "2", "--levels", "behav",
+                 "--cells", "8", "--chain", "--mode", "both"]) == 1
+    captured = capsys.readouterr()
+    assert "byte-identical across modes" in captured.out
+    assert "shard1: result['clocks'] differs" in captured.err
+
+
 def test_shard_from_spec_file_writes_report(capsys, tmp_path):
     spec_path = tmp_path / "topo.json"
     spec_path.write_text(json.dumps(
