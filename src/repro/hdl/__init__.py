@@ -8,10 +8,9 @@ helpers.
 
 from .assertions import (AssertionEngine, AssertionFailure,
                          HdlAssertionError, ToggleCoverage, ValueCoverage)
-from .compiled import (CombinationalCycleError, CompileContext,
-                       CompileError, CompiledKernel, Slot,
-                       UnsupportedFeature, compile_kernel, raw_value,
-                       slot_int)
+from .compiled import (CompileContext, CompileError, CompiledKernel,
+                       EventContext, Slot, UnsupportedFeature,
+                       compile_kernel, raw_value, slot_int)
 from .cycle import CycleEngine
 from .logic import (LogicError, STD_LOGIC_VALUES, bits, is_defined,
                     resolve, resolve_many, to_vector, vector_to_int)
@@ -29,9 +28,9 @@ from .wave import (VcdData, VcdFormatError, WaveformDifference,
 __all__ = [
     "AssertionEngine", "AssertionFailure", "HdlAssertionError",
     "ToggleCoverage", "ValueCoverage",
-    "CombinationalCycleError", "CompileContext", "CompileError",
-    "CompiledKernel", "Slot", "UnsupportedFeature", "compile_kernel",
-    "raw_value", "slot_int",
+    "CompileContext", "CompileError", "CompiledKernel", "EventContext",
+    "Slot", "UnsupportedFeature", "compile_kernel", "raw_value",
+    "slot_int",
     "CycleEngine",
     "LogicError", "STD_LOGIC_VALUES", "bits", "is_defined", "resolve",
     "resolve_many", "to_vector", "vector_to_int",

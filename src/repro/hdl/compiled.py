@@ -1,4 +1,4 @@
-"""Compiled (levelized) RTL evaluation — the CCSS-style backend.
+"""Compiled RTL evaluation — the CCSS-style backend.
 
 The event kernel charges every RTL process the full delta-cycle toll:
 each output ``drive()`` normalises its value, schedules an update, and
@@ -7,33 +7,35 @@ synthesisable components — clocked processes that read their inputs on
 the rising edge and drive outputs for the next cycle — almost all of
 that machinery is invariant and can be *compiled away*.
 
-This module levelizes a component's process graph into straight-line
-Python:
+An RTL process is described once, by a compile hook: a builder that
+declares its signal accesses on a context (``read`` returns the input's
+:class:`Slot`, ``write`` returns a writer for an output) and returns
+the per-edge evaluation callable.  The context decides where the
+process runs:
 
-* every signal a compiled process touches is bound to a :class:`Slot`
-  holding the *raw* value (``'0'``/``'1'``/… characters for scalars,
-  plain ints for defined vectors, metavalue tuples otherwise) so reads
-  cost one attribute load instead of a tuple walk;
-* writes go through change-detecting writer closures into a dirty
-  list — a no-change write costs one comparison, exactly mirroring the
-  event kernel's no-event-on-no-change rule;
-* one :class:`CompiledKernel` per ``(simulator, clock)`` runs all
-  compiled sequential evaluations on the rising edge and then applies
-  the dirty slots in a single *commit phase* that lands in the same
-  delta cycle where event-backend ``drive()`` calls would apply — so a
-  compiled component is trace-identical to its event twin;
-* combinational evaluations are topologically sorted (Kahn) so a
-  single ordered pass replaces delta iteration; registration order
-  does not matter (an input may be written by a process registered
-  later — the forward reference must resolve by initialisation); a
-  cyclic graph raises :class:`CombinationalCycleError` naming the
-  signals in the loop.
+* a :class:`CompileContext` binds it into the clock's
+  :class:`CompiledKernel`.  Slots hold the *raw* value
+  (``'0'``/``'1'``/… characters for scalars, plain ints for defined
+  vectors, metavalue tuples otherwise), so reads cost one attribute
+  load instead of a tuple walk; writes go through change-detecting
+  writer closures into a dirty list — a no-change write costs one
+  comparison, exactly mirroring the event kernel's
+  no-event-on-no-change rule.  The kernel runs every evaluation on the
+  rising edge and then applies the dirty slots in a single *commit
+  phase* that lands in the same delta cycle where event-kernel
+  ``drive()`` calls would apply — so a compiled process is
+  trace-identical to the same hook on the event kernel;
+* an :class:`EventContext` builds the same evaluation over live
+  signals: reads are the same slots, writes are plain ``drive()``
+  calls, and :class:`repro.rtl.Component` runs it as a genuine
+  rising-edge process on the event kernel.
 
-Every process with a compile hook is compiled (see
-:class:`repro.rtl.Component`); when compilation raises
+:class:`repro.rtl.Component` compiles every process unless
+``Simulator.rtl_backend`` is ``"event"``; when compilation raises
 :class:`UnsupportedFeature` (for example a written signal that already
-carries a foreign driver) the process runs its event body instead and
-the fallback is counted on ``Simulator.compiled_fallbacks``.
+carries a foreign driver) the process lands on the event kernel
+instead and the fallback is counted on
+``Simulator.compiled_fallbacks``.
 
 Known divergence (intra-delta only, invisible to waveforms): the
 commit wakes observers into the *following* delta cycle and marks
@@ -47,8 +49,7 @@ compare_waveforms` bar — are identical; the equivalence suite in
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from .logic import LogicError, vector_to_int
 from .processes import CallbackProcess
@@ -58,9 +59,9 @@ from .simulator import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
-__all__ = ["Slot", "CompileError", "CombinationalCycleError",
-           "UnsupportedFeature", "CompileContext", "CompiledKernel",
-           "compile_kernel", "slot_int", "raw_value"]
+__all__ = ["Slot", "CompileError", "UnsupportedFeature", "CompileContext",
+           "EventContext", "CompiledKernel", "compile_kernel", "slot_int",
+           "raw_value"]
 
 
 class CompileError(SimulationError):
@@ -69,15 +70,10 @@ class CompileError(SimulationError):
     :class:`repro.rtl.Component` fall back to the event kernel."""
 
 
-class CombinationalCycleError(CompileError):
-    """Raised when the combinational dependency graph is cyclic; the
-    message names the signals participating in the loop."""
-
-
 class UnsupportedFeature(CompileError):
-    """Raised for graphs the compiler does not cover (foreign drivers
-    on a written signal, double writers, non-kernel combinational
-    inputs, a non-scalar clock)."""
+    """Raised for processes the compiler does not cover (foreign
+    drivers on a written signal, double writers, a non-scalar
+    clock)."""
 
 
 #: per-slot canonical-tuple -> int memo cap (mirrors Signal._norm_cache)
@@ -85,14 +81,14 @@ _INT_MEMO_LIMIT = 4096
 
 
 class Slot:
-    """The compiled backend's view of one signal.
+    """The raw view of one signal that compile hooks read.
 
     ``value`` holds the signal's current resolved value in raw form:
     the ``std_logic`` character for scalars, a plain int for fully
-    defined vectors, the canonical metavalue tuple otherwise.  The
-    kernel keeps it in sync with :attr:`Signal.value` in both
-    directions (commit phase outward, :meth:`Signal._apply` inward for
-    foreign drivers), so compiled reads never need a refresh phase.
+    defined vectors, the canonical metavalue tuple otherwise.  It is
+    kept in sync with :attr:`Signal.value` in both directions (the
+    compiled kernel's commit phase outward, :meth:`Signal._apply` and
+    :meth:`Signal.force` inward), so reads never need a refresh phase.
     """
 
     __slots__ = ("signal", "value", "next_value", "dirty", "writer",
@@ -129,6 +125,14 @@ class Slot:
         return f"Slot({self.signal.name}={self.value!r})"
 
 
+def _slot_of(signal: Signal) -> Slot:
+    """The slot of *signal*, attached on first use."""
+    slot = signal._compiled_slot
+    if slot is None:
+        slot = signal._compiled_slot = Slot(signal)
+    return slot
+
+
 def slot_int(value) -> int:
     """Integer view of a slot value (defined vectors are already ints;
     metavalue tuples raise :class:`repro.hdl.LogicError` exactly like
@@ -157,21 +161,18 @@ class CompileContext:
     signal accesses: :meth:`read` returns the input's :class:`Slot`,
     :meth:`write` returns a change-detecting writer closure for an
     output.  Declarations are staged — they are merged into the kernel
-    only if the whole builder succeeds, so an ``auto`` fallback leaves
-    the kernel untouched.
+    only if the whole builder succeeds, so a refused compile leaves the
+    kernel untouched.
     """
 
     def __init__(self, kernel: "CompiledKernel", label: str) -> None:
         self.kernel = kernel
         self.label = label
-        #: signals read by this process (for combinational levelizing)
-        self.reads: List[Signal] = []
         #: signals written by this process (staged until merge)
         self.writes: List[Signal] = []
 
     def read(self, signal: Signal) -> Slot:
         """Declare *signal* as an input; returns its slot."""
-        self.reads.append(signal)
         return self.kernel._slot(signal)
 
     def write(self, signal: Signal) -> Callable[[object], None]:
@@ -212,22 +213,39 @@ class CompileContext:
         return write_fn
 
 
+class EventContext:
+    """The compile-hook surface for a process hosted by the event
+    kernel: the same hook, built over live signals.
+
+    :meth:`read` returns the signal's :class:`Slot` — ``Signal._apply``
+    and ``Signal.force`` keep it in sync, so ``.value`` is the slot form
+    of the current value — and :meth:`write` returns the signal's plain
+    :meth:`~repro.hdl.Signal.drive`, so every write is an ordinary
+    transaction of the running process, applied in the next delta
+    cycle.
+    """
+
+    def read(self, signal: Signal) -> Slot:
+        """Declare *signal* as an input; returns its slot."""
+        return _slot_of(signal)
+
+    def write(self, signal: Signal) -> Callable[[object], None]:
+        """Declare *signal* as an output; returns its ``drive``."""
+        return signal.drive
+
+
 class CompiledKernel:
     """All compiled evaluations of one ``(simulator, clock)`` pair.
 
     Execution per rising clock edge (delta cycle 1):
 
-    1. every sequential evaluation runs in registration order, reading
-       pre-edge slot values and staging writes into the dirty list;
+    1. every evaluation runs in registration order, reading pre-edge
+       slot values and staging writes into the dirty list;
     2. the *commit* process — scheduled as a zero-delay resume, so it
-       executes in delta cycle 2, exactly where event-backend drives
+       executes in delta cycle 2, exactly where event-kernel drives
        apply — installs the changed values on their signals, fires the
        signal hooks (VCD etc.) and wakes sensitive/waiting processes
-       into delta cycle 3;
-    3. if combinational evaluations are registered, the commit then
-       runs them once in topological order, committing after each
-       evaluation so downstream evaluations in the same pass read
-       fresh values (the levelized equivalent of delta iteration).
+       into delta cycle 3.
 
     The kernel hangs off the clock signal itself
     (``clk._compiled_kernel``): both clocking schemes — the delta
@@ -249,30 +267,18 @@ class CompiledKernel:
         self.clk = clk
         #: driver identity of every commit-phase signal update
         self._driver = object()
-        self._slots: Dict[int, Slot] = {}
         self._dirty: List[Slot] = []
         self._seq_evals: List[Callable[[], None]] = []
-        #: (label, eval, reads, writes) records of combinational
-        #: processes; ``_comb_order`` holds the topologically sorted
-        #: eval list rebuilt after each registration
-        self._comb_entries: List[tuple] = []
-        self._comb_order: List[Callable[[], None]] = []
         # statistics (aggregated by Simulator.stats_snapshot)
         self.components = 0
         self.evals_run = 0
         self.commit_writes = 0
         self._commit_proc = CallbackProcess(
-            f"compiled[{clk.name}].commit", self._commit_cb)
-        self._init_done = False
+            f"compiled[{clk.name}].commit", lambda _sim: self._commit())
         if clk.sim is not sim:
             raise UnsupportedFeature(
                 f"clock {clk.name!r} belongs to another simulator")
         clk._compiled_kernel = self
-        if sim._initialized:
-            # Simulator.initialize() already ran: nothing registered
-            # yet, but mark the init phase done so late add_comb calls
-            # evaluate immediately (like a late-added event process).
-            self._init_done = True
 
     # ------------------------------------------------------------------
     # Registration
@@ -281,11 +287,7 @@ class CompiledKernel:
         if signal.sim is not self.sim:
             raise UnsupportedFeature(
                 f"signal {signal.name!r} belongs to another simulator")
-        slot = signal._compiled_slot
-        if slot is None:
-            slot = Slot(signal)
-            signal._compiled_slot = slot
-        return slot
+        return _slot_of(signal)
 
     def add_seq(self, label: str,
                 builder: Callable[[CompileContext],
@@ -301,131 +303,9 @@ class CompiledKernel:
             signal._compiled_slot.writer = label
         self._seq_evals.append(evaluate)
 
-    def add_comb(self, label: str,
-                 builder: Callable[[CompileContext],
-                                   Callable[[], None]]) -> None:
-        """Compile one combinational process via *builder*.
-
-        Combinational inputs must be written inside this kernel (or be
-        compile-time constants): only then is "evaluate once after the
-        sequential commit, in topological order" equivalent to the
-        event kernel's delta iteration.  A read of a signal another
-        process is registered to write *later* is a forward reference
-        and is allowed until initialisation — so registration order
-        does not matter — but a read of a signal carrying a foreign
-        driver raises :class:`UnsupportedFeature` immediately, as does
-        an input still unwritten once the simulator initialises.  A
-        read/write cycle among the combinational processes (including
-        a process reading its own output) raises
-        :class:`CombinationalCycleError`.
-        """
-        ctx = CompileContext(self, label)
-        evaluate = builder(ctx)
-        if not callable(evaluate):
-            raise CompileError(
-                f"{label}: compile hook returned {evaluate!r}, "
-                "expected an evaluation callable")
-        entry = (label, evaluate, tuple(ctx.reads), tuple(ctx.writes))
-        order = self._levelize(self._comb_entries + [entry],
-                               require_resolved=self._init_done)
-        for signal in ctx.writes:
-            signal._compiled_slot.writer = label
-        self._comb_entries.append(entry)
-        self._comb_order = order
-        if self._init_done:
-            # Registered after initialisation: run once immediately,
-            # like a late-added event process's pending first run.
-            evaluate()
-            self.evals_run += 1
-            if self._dirty:
-                self._commit()
-
-    def _levelize(self, entries: Sequence[tuple],
-                  require_resolved: bool = True) -> List[Callable]:
-        """Kahn-sort *entries* by signal dataflow; validate inputs.
-
-        With ``require_resolved=False`` (registration time, before the
-        simulator initialises) an input that nothing writes *yet* is
-        tolerated as a forward reference; an input with a foreign
-        driver is always rejected.
-        """
-        staged_writers: Dict[int, str] = {}
-        for label, _evaluate, _reads, writes in entries:
-            for signal in writes:
-                staged_writers[id(signal)] = label
-        for label, _evaluate, reads, _writes in entries:
-            for signal in reads:
-                slot = signal._compiled_slot
-                written = (slot is not None and slot.writer is not None) \
-                    or id(signal) in staged_writers
-                if written or signal is self.clk:
-                    continue
-                if signal._drivers:
-                    raise UnsupportedFeature(
-                        f"{label}: combinational input {signal.name!r} "
-                        f"has {len(signal._drivers)} driver(s) outside "
-                        "the compiled kernel")
-                if require_resolved:
-                    raise UnsupportedFeature(
-                        f"{label}: combinational input {signal.name!r} "
-                        "is not written inside the compiled kernel")
-        # edges: producer entry -> consumer entry; a self-edge (a
-        # process reading its own output) is a combinational cycle
-        producer_of: Dict[int, int] = {}
-        for index, (_l, _e, _r, writes) in enumerate(entries):
-            for signal in writes:
-                producer_of[id(signal)] = index
-        indegree = [0] * len(entries)
-        consumers: List[List[int]] = [[] for _ in entries]
-        for index, (_l, _e, reads, _w) in enumerate(entries):
-            for signal in reads:
-                producer = producer_of.get(id(signal))
-                if producer is not None:
-                    consumers[producer].append(index)
-                    indegree[index] += 1
-        # Kahn with a sorted ready set: topological order, ties broken
-        # by registration index (deterministic levelizing).
-        ready = sorted(i for i, degree in enumerate(indegree)
-                       if degree == 0)
-        order: List[int] = []
-        while ready:
-            index = ready.pop(0)
-            order.append(index)
-            for consumer in consumers[index]:
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    insort(ready, consumer)
-        if len(order) != len(entries):
-            remaining = [i for i in range(len(entries))
-                         if indegree[i] > 0]
-            names = sorted({
-                signal.name
-                for i in remaining
-                for signal in entries[i][3]
-                if any(signal in entries[j][2] for j in remaining)})
-            raise CombinationalCycleError(
-                "combinational cycle through signal(s): "
-                + ", ".join(names))
-        return [entries[i][1] for i in order]
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _initialize(self) -> None:
-        """Initialisation run (idempotent): resolve forward references
-        and evaluate combinational logic once, like the event kernel's
-        initial run of every process.  Called by
-        :meth:`Simulator.initialize`."""
-        if self._init_done:
-            return
-        self._init_done = True
-        if self._comb_entries:
-            # Forward references tolerated at registration time must
-            # have found their writer by now.
-            self._comb_order = self._levelize(self._comb_entries,
-                                              require_resolved=True)
-            self._run_comb()
-
     def _on_edge(self) -> None:
         """One rising clock edge: run the sequential evaluations and,
         when any staged output changed, schedule the commit phase.
@@ -442,23 +322,6 @@ class CompiledKernel:
         self.evals_run += len(evals)
         if self._dirty:
             self.sim._pending_resumes.append(self._commit_proc)
-
-    def _commit_cb(self, _sim: "Simulator") -> None:
-        self._commit()
-        self._run_comb()
-
-    def _run_comb(self) -> None:
-        """One levelized combinational pass: evaluate in topological
-        order, committing after each evaluation so downstream
-        evaluations read the fresh values."""
-        order = self._comb_order
-        if not order:
-            return
-        for evaluate in order:
-            evaluate()
-            if self._dirty:
-                self._commit()
-        self.evals_run += len(order)
 
     def _commit(self) -> None:
         """Apply the dirty slots to their signals (one delta cycle's
@@ -518,11 +381,10 @@ class CompiledKernel:
     # Observability
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, int]:
-        """Kernel counters (levelized evals, commit-phase writes)."""
+        """Kernel counters (evaluations, commit-phase writes)."""
         return {
             "components": self.components,
             "seq_evals": len(self._seq_evals),
-            "comb_evals": len(self._comb_entries),
             "evals_run": self.evals_run,
             "commit_writes": self.commit_writes,
         }

@@ -282,7 +282,6 @@ class CycleEngine:
                     sim._current_process = commit
                     try:
                         kernel._commit()
-                        kernel._run_comb()
                     finally:
                         sim._current_process = None
                     sim.process_runs += 1

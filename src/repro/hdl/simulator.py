@@ -176,17 +176,19 @@ class Simulator:
         #: :func:`repro.obs.profile.attach_profiling`)
         self.profile: Optional[Callable[[], object]] = None
         #: where RTL components built on this simulator land their
-        #: processes: "compiled" levelizes every process that has a
-        #: compile hook (falling back to its event body, counted on
-        #: :attr:`compiled_fallbacks`, when the compile is refused);
-        #: "event" keeps every process on the event kernel — the
-        #: oracle side of the equivalence tests.  Read by
-        #: ``repro.rtl.Component`` when a process is registered.
+        #: processes: "compiled" binds each one's compile hook into
+        #: its clock's CompiledKernel (falling back to the event
+        #: kernel, counted on :attr:`compiled_fallbacks`, when the
+        #: compile is refused); "event" runs the same hooks as
+        #: rising-edge processes on the event kernel (E1's
+        #: event-driven row and the other side of the equivalence
+        #: tests).  Read by ``repro.rtl.Component`` when a process is
+        #: registered.
         self.rtl_backend = "compiled"
         #: clock-signal id -> CompiledKernel (see repro.hdl.compiled)
         self._compiled_kernels: Dict[int, object] = {}
         #: processes whose compile was refused (UnsupportedFeature)
-        #: and that run their event body instead
+        #: and that run on the event kernel instead
         self.compiled_fallbacks = 0
 
         # statistics
@@ -212,7 +214,7 @@ class Simulator:
             "pending_events": self.pending_event_count,
             "signals": len(self.signals),
             "processes": len(self.processes),
-            # compiled (levelized) backend activity, aggregated over
+            # compiled backend activity, aggregated over
             # all clock-domain kernels — see repro.hdl.compiled
             "compiled_components": sum(k.components for k in kernels),
             "compiled_evals": sum(k.evals_run for k in kernels),
@@ -430,8 +432,6 @@ class Simulator:
             self._engine._prime()
         for process in list(self.processes):
             self._run_process(process)
-        for kernel in self._compiled_kernels.values():
-            kernel._initialize()
         self._execute_deltas()
 
     def run(self, until: Optional[int] = None) -> int:

@@ -15,10 +15,12 @@ their own live here; nothing else in ``repro`` imports this module.
   the oracle of the cycle engine at system level
   (``tests/core/test_determinism.py``).
 
-The third oracle needs no code here: every RTL component keeps its
-event body beside its compile hook, and setting
-``Simulator.rtl_backend = "event"`` before building components runs
-those bodies (``tests/rtl/test_compiled_equiv.py``).
+The third oracle needs no code here: setting ``Simulator.rtl_backend =
+"event"`` before building components runs each component's one compile
+hook as a rising-edge process on the event kernel
+(``tests/rtl/test_compiled_equiv.py``).  It checks the compiled kernel,
+not the component logic; that is checked against the :mod:`repro.atm`
+reference models and the :mod:`repro.behav` twins.
 """
 
 from __future__ import annotations

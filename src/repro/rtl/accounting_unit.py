@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .cell_stream import CELL_OCTETS, CellStreamPort
@@ -90,7 +89,7 @@ class AccountingUnitRtl(Component):
         self.cells_seen = 0
         self.unknown_cells = 0
         self.records_emitted = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     # -- management plane ---------------------------------------------------
     def register(self, vpi: int, vci: int, units_per_cell: int = 1,
@@ -141,20 +140,6 @@ class AccountingUnitRtl(Component):
         }
 
     # -- fast path ------------------------------------------------------------
-    def _tick(self) -> None:
-        self._handle_tariff_tick()
-        self._handle_cell_octet()
-        self._stream_records()
-
-    def _handle_tariff_tick(self) -> None:
-        if self.tariff_tick.value != "1":
-            return
-        if self.bug == "lost_tick":
-            self._tick_parity ^= 1
-            if self._tick_parity == 0:
-                return
-        self._close_interval()
-
     def _close_interval(self) -> None:
         for entry in self._entries:
             charge = (entry.fixed_units
@@ -170,24 +155,6 @@ class AccountingUnitRtl(Component):
             entry.cells_clp1 = 0
             self.records_emitted += 1
         self._interval += 1
-
-    def _handle_cell_octet(self) -> None:
-        if self.rx.valid.value != "1":
-            return
-        octet = vector_to_int(self.rx.atmdata.value)
-        if self.rx.cellsync.value == "1":
-            self._header = [octet]
-            self._octet_count = 1
-            return
-        if self._octet_count == 0:
-            return
-        self._octet_count += 1
-        if self._octet_count <= 4:
-            self._header.append(octet)
-            if self._octet_count == 4:
-                self._account_header()
-        if self._octet_count == CELL_OCTETS:
-            self._octet_count = 0
 
     def _account_header(self) -> None:
         h = self._header
@@ -206,22 +173,10 @@ class AccountingUnitRtl(Component):
         else:
             entry.cells_clp0 += 1
 
-    def _stream_records(self) -> None:
-        fifo = self._out_fifo
-        if not fifo:
-            if not self._rec_idle:
-                self.rec_valid.drive("0")
-                self._rec_idle = True
-            return
-        self._rec_idle = False
-        self.rec_word.drive(fifo.popleft())
-        self.rec_valid.drive("1")
-
-    # -- compiled twin --------------------------------------------------------
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`.  The event path's
-        ``_rec_idle`` once-only idle drive is dropped: the writer
-        closure's change detection makes a repeated '0' write free."""
+        """The clocked process: a sampled tariff tick closes the
+        interval, a header octet feeds :meth:`_account_header`, and one
+        queued record word streams out."""
         tariff_tick = ctx.read(self.tariff_tick)
         valid = ctx.read(self.rx.valid)
         cellsync = ctx.read(self.rx.cellsync)
@@ -256,9 +211,11 @@ class AccountingUnitRtl(Component):
                         self._octet_count = 0
             # record stream
             if fifo:
+                self._rec_idle = False
                 w_rec_word(fifo.popleft())
                 w_rec_valid("1")
-            else:
+            elif not self._rec_idle:
                 w_rec_valid("0")
+                self._rec_idle = True
 
         return evaluate

@@ -330,14 +330,12 @@ class CellReceiver(Component):
     optional ``on_cell`` callback.  Octets arriving without a preceding
     cellsync are counted as :attr:`framing_errors` and discarded.
 
-    While no cell is in progress and ``valid`` is low the receiver
-    parks on ``valid``'s rising edge instead of sampling every clock —
-    idle gaps cost no process runs (the edge-gated idle loop).
-
-    When compiled, the receiver is instead levelized into the clock's
-    kernel: one straight-line sample per rising edge, with the
-    same per-edge observations as the generator (idle edges where the
-    generator parks are exactly the edges whose sample is a no-op).
+    One sample per rising clock edge (:meth:`_compile_seq`).  On the
+    event kernel the process is a generator that, while no cell is in
+    progress and ``valid`` is low, parks on ``valid``'s rising edge
+    instead of sampling every clock — idle gaps cost no process runs
+    (the edge-gated idle loop).  The edges it skips are exactly those
+    whose sample is a no-op, so both kernels observe the same cells.
     """
 
     def __init__(self, sim: Simulator, name: str, clk: Signal,
@@ -350,27 +348,21 @@ class CellReceiver(Component):
         self.cells: List[List[int]] = []
         self._partial: Optional[List[int]] = None
         self.framing_errors = 0
-        # hot-loop bindings (one sample per active clock edge)
-        self._valid = port.valid
-        self._cellsync = port.cellsync
-        self._atmdata = port.atmdata
-        # The event body is a generator (with edge-gated idle parking),
-        # not a clocked callback, so it is registered here instead of
-        # through Component.clocked().
-        if self._register_compiled(clk, "receiver", self._compile_seq,
-                                   "seq"):
-            self.backends["receiver"] = "compiled"
-        else:
-            self.backends["receiver"] = "event"
-            sim.add_generator(f"{name}.receiver", self._run(clk))
+        self.clocked(clk, self._compile_seq, "receiver")
 
     @property
     def collecting(self) -> bool:
         """True while a cell is partially received."""
         return self._partial is not None
 
-    def _run(self, clk: Signal):
-        valid = self._valid
+    def _add_event_process(self, clk: Signal, label: str,
+                           evaluate: Callable[[], None]) -> None:
+        """The edge-gated generator: *evaluate* on each rising clock
+        edge while a cell is in progress or ``valid`` is high."""
+        self.sim.add_generator(label, self._run(clk, evaluate))
+
+    def _run(self, clk: Signal, evaluate: Callable[[], None]):
+        valid = self.port.valid
         clk_edge = RisingEdge(clk)
         valid_edge = RisingEdge(valid)
         while True:
@@ -378,34 +370,15 @@ class CellReceiver(Component):
                 yield valid_edge
                 continue
             yield clk_edge
-            self._tick()
-
-    def _tick(self) -> None:
-        if self._valid.value != "1":
-            return
-        octet = vector_to_int(self._atmdata.value)
-        if self._cellsync.value == "1":
-            if self._partial is not None:
-                self.framing_errors += 1
-            self._partial = [octet]
-        elif self._partial is None:
-            self.framing_errors += 1
-            return
-        else:
-            self._partial.append(octet)
-        if self._partial is not None and len(self._partial) == CELL_OCTETS:
-            cell = self._partial
-            self._partial = None
-            self.cells.append(cell)
-            if self.on_cell is not None:
-                self.on_cell(cell)
+            evaluate()
 
     def _compile_seq(self, ctx):
-        """Compiled twin of the sampling loop (no outputs — the
-        receiver only observes)."""
-        valid = ctx.read(self._valid)
-        cellsync = ctx.read(self._cellsync)
-        atmdata = ctx.read(self._atmdata)
+        """The sample: append a valid octet to the cell in progress
+        (cellsync starts one; a stray octet is a framing error).  No
+        outputs — the receiver only observes."""
+        valid = ctx.read(self.port.valid)
+        cellsync = ctx.read(self.port.cellsync)
+        atmdata = ctx.read(self.port.atmdata)
         cells = self.cells
         to_int = vector_to_int
 

@@ -3,27 +3,29 @@
 An RTL component owns hierarchically named signals and registers its
 processes with the simulator — the Python equivalent of a VHDL
 entity/architecture pair.  Synthesisable style is kept deliberately:
-components expose port signals, all state changes happen in clocked
-processes, and combinational outputs are driven with zero (delta)
-delay.
+components expose port signals, and all state changes happen in
+clocked processes.
 
-A process that provides a compile hook is levelized into the clock's
-:class:`repro.hdl.CompiledKernel`; without a hook, or when the compile
-raises :class:`repro.hdl.UnsupportedFeature` (counted on
-``Simulator.compiled_fallbacks``), its event body runs on the event
-kernel instead.  ``self.backends`` maps each registered process name to
-where it landed (``"compiled"`` or ``"event"``).  The event bodies are
-also the oracle the compiled twins are tested against: a test sets
-``Simulator.rtl_backend = "event"`` before building its components to
-keep every process on the event kernel.
+Each process is described exactly once, by a compile hook (see
+:mod:`repro.hdl.compiled`): a builder that declares its reads and
+writes on a context and returns the per-edge evaluation.  Only the
+context varies with where the process runs.  By default the hook is
+bound into the clock's :class:`repro.hdl.CompiledKernel`.  With
+``Simulator.rtl_backend = "event"``, or when the compile raises
+:class:`repro.hdl.UnsupportedFeature` (counted on
+``Simulator.compiled_fallbacks``), the same hook is built against a
+:class:`repro.hdl.EventContext` and its evaluation runs as a genuine
+rising-edge process on the event kernel.  ``self.backends`` maps each
+registered process name to where it landed (``"compiled"`` or
+``"event"``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
-from ..hdl.compiled import (CompileContext, UnsupportedFeature,
-                            compile_kernel)
+from ..hdl.compiled import (CompileContext, EventContext,
+                            UnsupportedFeature, compile_kernel)
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 
@@ -45,85 +47,45 @@ class Component:
         return self.sim.signal(f"{self.name}.{local_name}", width=width,
                                init=init)
 
-    def _register_compiled(self, clk: Signal, name: str,
-                           compile_fn: Optional[Callable],
-                           kind: str) -> bool:
-        """Try to land process *name* on the compiled kernel of *clk*.
+    def clocked(self, clk: Signal,
+                build: Callable[[CompileContext], Callable[[], None]],
+                name: str = "seq") -> None:
+        """Register the process described by *build* on the rising
+        edges of *clk*.
 
-        Returns True on success, False when the event kernel should
-        host it instead: no hook, a compile that raised
-        :class:`~repro.hdl.UnsupportedFeature` (counted as a fallback),
-        or a simulator whose ``rtl_backend`` is ``"event"``.
+        *build* is the compile hook: it receives a context, declares
+        the process's inputs (``ctx.read``) and outputs (``ctx.write``)
+        and returns the evaluation run once per rising edge — the shape
+        of a ``process(clk)`` with ``rising_edge(clk)``.  See the
+        module docstring for which context it receives.
         """
         label = f"{self.name}.{name}"
-        backend = self.sim.rtl_backend
+        sim = self.sim
+        backend = sim.rtl_backend
         if backend not in ("compiled", "event"):
             raise ValueError(
                 f"{label}: Simulator.rtl_backend must be 'compiled' or "
                 f"'event', got {backend!r}")
-        if backend == "event" or compile_fn is None:
-            return False
-        try:
-            kernel = compile_kernel(self.sim, clk)
-            if kind == "seq":
-                kernel.add_seq(label, compile_fn)
+        if backend == "compiled":
+            try:
+                kernel = compile_kernel(sim, clk)
+                kernel.add_seq(label, build)
+            except UnsupportedFeature:
+                sim.compiled_fallbacks += 1
             else:
-                kernel.add_comb(label, compile_fn)
-        except UnsupportedFeature:
-            self.sim.compiled_fallbacks += 1
-            return False
-        kernel.components += 1
-        return True
-
-    def clocked(self, clk: Signal, body: Callable[[], None],
-                name: str = "seq",
-                compile_fn: Optional[Callable[[CompileContext],
-                                              Callable[[], None]]] = None
-                ) -> None:
-        """Register *body* to run on every rising edge of *clk*.
-
-        The body reads ``.value`` of its inputs and drives outputs —
-        the shape of a ``process(clk)`` with ``rising_edge(clk)``.
-        Registered with rising-edge sensitivity, so the falling edge
-        does not dispatch the process at all; the guard stays as a
-        belt-and-braces check for the initialisation run.
-
-        *compile_fn* is the optional compiled twin: a builder that
-        receives a :class:`repro.hdl.CompileContext` and returns the
-        levelized evaluation callable (see the module docstring for
-        when *body* runs instead).
-        """
-        if self._register_compiled(clk, name, compile_fn, "seq"):
-            self.backends[name] = "compiled"
-            return
+                kernel.components += 1
+                self.backends[name] = "compiled"
+                return
         self.backends[name] = "event"
+        self._add_event_process(clk, label, build(EventContext()))
 
+    def _add_event_process(self, clk: Signal, label: str,
+                           evaluate: Callable[[], None]) -> None:
+        """Host *evaluate* on the event kernel: a process woken by the
+        rising edges of *clk* only (the guard skips the
+        initialisation run)."""
         def proc(_sim: Simulator) -> None:
             if clk.rising():
-                body()
+                evaluate()
 
-        self.sim.add_process(f"{self.name}.{name}", proc,
-                             sensitivity=[clk], edge="rise")
-
-    def combinational(self, inputs: Sequence[Signal],
-                      body: Callable[[], None],
-                      name: str = "comb",
-                      clk: Optional[Signal] = None,
-                      compile_fn: Optional[Callable[[CompileContext],
-                                                    Callable[[], None]]]
-                      = None) -> None:
-        """Register *body* to run on any event of *inputs* (and once at
-        initialisation), like a combinational VHDL process.
-
-        When *clk* and *compile_fn* are given, the process is
-        levelized into *clk*'s kernel instead (inputs must
-        be written inside the same kernel; see
-        :meth:`repro.hdl.CompiledKernel.add_comb`).
-        """
-        if clk is not None and self._register_compiled(
-                clk, name, compile_fn, "comb"):
-            self.backends[name] = "compiled"
-            return
-        self.backends[name] = "event"
-        self.sim.add_process(f"{self.name}.{name}",
-                             lambda _sim: body(), sensitivity=list(inputs))
+        self.sim.add_process(label, proc, sensitivity=[clk], edge="rise")

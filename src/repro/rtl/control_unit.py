@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .component import Component
@@ -78,7 +77,7 @@ class GlobalControlUnitRtl(Component):
         self.lookup_misses = 0
         self.busy_cycles = 0
         self.idle_cycles = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     # -- management plane ---------------------------------------------------
     def install(self, client: int, vpi: int, vci: int, out_port: int,
@@ -96,60 +95,10 @@ class GlobalControlUnitRtl(Component):
         return len(self._table)
 
     # -- fast path ------------------------------------------------------------
-    def _tick(self) -> None:
-        for client in self.clients:
-            client.done.drive("0")
-        cooled = self._cooldown
-        self._cooldown = None
-        if self._busy_client is not None:
-            self.busy_cycles += 1
-            self._busy_remaining -= 1
-            if self._busy_remaining == 0:
-                self._finish_lookup(self._busy_client)
-                self._busy_client = None
-            return
-        grant = self._arbitrate(skip=cooled)
-        if grant is None:
-            self.idle_cycles += 1
-            return
-        self.busy_cycles += 1
-        self._busy_client = grant
-        self._busy_remaining = self.lookup_latency - 1
-        if self._busy_remaining == 0:
-            self._finish_lookup(grant)
-            self._busy_client = None
-
-    def _arbitrate(self, skip: Optional[int] = None) -> Optional[int]:
-        for offset in range(self.num_clients):
-            index = (self._rr_next + offset) % self.num_clients
-            if index == skip:
-                continue
-            if self.clients[index].req.value == "1":
-                self._rr_next = (index + 1) % self.num_clients
-                return index
-        return None
-
-    def _finish_lookup(self, index: int) -> None:
-        client = self.clients[index]
-        vpi = vector_to_int(client.vpi_in.value)
-        vci = vector_to_int(client.vci_in.value)
-        entry = self._table.get((index, vpi, vci))
-        self.lookups_served += 1
-        self._cooldown = index
-        client.done.drive("1")
-        if entry is None:
-            self.lookup_misses += 1
-            client.found.drive("0")
-            return
-        out_port, out_vpi, out_vci = entry
-        client.found.drive("1")
-        client.out_port.drive(out_port)
-        client.out_vpi.drive(out_vpi)
-        client.out_vci.drive(out_vci)
-
-    # -- compiled twin --------------------------------------------------------
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick` (arbitration inlined)."""
+        """The clocked process: clear the last done pulse, advance the
+        lookup in progress, or grant the next requester round-robin
+        (skipping the one just served)."""
         reads = []      # (req, vpi_in, vci_in) slots per client
         writes = []     # (done, found, out_port, out_vpi, out_vci)
         for client in self.clients:
@@ -191,9 +140,8 @@ class GlobalControlUnitRtl(Component):
         #: the arbitration runs every edge, so no modulo in the loop
         orders = [tuple((start + offset) % num for offset in range(num))
                   for start in range(num)]
-        # The event twin drives every done '0' each clock; with
-        # change-detecting writers only the client whose done is
-        # actually '1' (the last finished lookup) needs the clear.
+        # Only the client whose done is '1' (the last finished lookup)
+        # needs the clear, not every done on every clock.
         self._done_hot = None
 
         def evaluate():

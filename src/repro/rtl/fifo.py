@@ -12,7 +12,6 @@ from collections import deque
 from typing import Deque
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .component import Component
@@ -49,35 +48,14 @@ class SyncFifo(Component):
         self._store: Deque[int] = deque()
         self.overflow_drops = 0
         self.max_level = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def _tick(self) -> None:
-        popped = False
-        if self.rd_en.value == "1" and self._store:
-            self._store.popleft()
-            popped = True
-        if self.wr_en.value == "1":
-            if len(self._store) >= self.depth:
-                self.overflow_drops += 1
-            else:
-                self._store.append(vector_to_int(self.wr_data.value))
-                self.max_level = max(self.max_level, len(self._store))
-        if popped or self.wr_en.value == "1":
-            self._update_outputs()
-
-    def _update_outputs(self) -> None:
-        if self._store:
-            self.rd_data.drive(self._store[0])
-            self.empty.drive("0")
-        else:
-            self.empty.drive("1")
-        self.full.drive("1" if len(self._store) >= self.depth else "0")
-
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick` over raw slot values."""
+        """The clocked process: pop on ``rd_en``, push on ``wr_en``
+        (dropped when full), then refresh the outputs."""
         wr_en = ctx.read(self.wr_en)
         wr_data = ctx.read(self.wr_data)
         rd_en = ctx.read(self.rd_en)

@@ -9,7 +9,6 @@ the paper's reference-model-vs-DUT methodology at unit scale).
 from __future__ import annotations
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .component import Component
@@ -50,25 +49,11 @@ class HecGenerator(Component):
         self.hec_valid = self.signal("hec_valid", init="0")
         self._crc = 0
         self._count = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
-
-    def _tick(self) -> None:
-        self.hec_valid.drive("0")
-        if self.d_valid.value != "1":
-            return
-        if self.sof.value == "1":
-            self._crc = 0
-            self._count = 0
-        if self._count >= 4:
-            return
-        self._crc = crc8_step(self._crc, vector_to_int(self.d.value))
-        self._count += 1
-        if self._count == 4:
-            self.hec.drive(self._crc ^ _COSET)
-            self.hec_valid.drive("1")
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`."""
+        """The clocked process: CRC over the first four valid octets
+        after sof, then the HEC with a one-clock valid pulse."""
         d = ctx.read(self.d)
         d_valid = ctx.read(self.d_valid)
         sof = ctx.read(self.sof)
@@ -113,32 +98,11 @@ class HecChecker(Component):
         self._count = 0
         self.headers_checked = 0
         self.errors_seen = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
-
-    def _tick(self) -> None:
-        self.ok.drive("0")
-        self.err.drive("0")
-        if self.d_valid.value != "1":
-            return
-        if self.sof.value == "1":
-            self._crc = 0
-            self._count = 0
-        if self._count >= 5:
-            return
-        octet = vector_to_int(self.d.value)
-        if self._count < 4:
-            self._crc = crc8_step(self._crc, octet)
-        else:
-            self.headers_checked += 1
-            if (self._crc ^ _COSET) == octet:
-                self.ok.drive("1")
-            else:
-                self.errors_seen += 1
-                self.err.drive("1")
-        self._count += 1
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`."""
+        """The clocked process: CRC over octets 0-3, then compare
+        octet 4 and pulse ``ok`` or ``err`` for one clock."""
         d = ctx.read(self.d)
         d_valid = ctx.read(self.d_valid)
         sof = ctx.read(self.sof)

@@ -42,7 +42,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .accounting_unit import AccountingUnitRtl
@@ -159,48 +158,20 @@ class AccountingMgmtSlave(Component):
             REG_FIXED: 0}
         self._status = STATUS_IDLE
         self._strobe_seen = False
-        #: set by a CTRL_TICK write; the executing process (event or
-        #: compiled) turns it into the actual tariff_tick pulse, so
-        #: :meth:`_write` stays free of signal side effects
+        #: set by a CTRL_TICK write; the clocked process turns it into
+        #: the actual tariff_tick pulse, so :meth:`_write` stays free
+        #: of signal side effects
         self._tick_request = False
         self._tick_pending = False
         self.writes = 0
         self.reads = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
-
-    def _tick(self) -> None:
-        if self._tick_pending:
-            # complete the one-clock tariff pulse started last edge
-            self.unit.tariff_tick.drive("0")
-            self._tick_pending = False
-        port = self.port
-        wr = port.wr.value == "1"
-        rd = port.rd.value == "1"
-        if not (wr or rd):
-            port.ready.drive("0")
-            self._strobe_seen = False
-            return
-        if self._strobe_seen:
-            # strobe held while master waits for ready: no re-execute
-            port.ready.drive("0")
-            return
-        self._strobe_seen = True
-        addr = vector_to_int(port.addr.value)
-        if wr:
-            self._write(addr, vector_to_int(port.wdata.value))
-            if self._tick_request:
-                # pulse the unit's tariff_tick input for one clock;
-                # the unit samples it at the next rising edge
-                self._tick_request = False
-                self.unit.tariff_tick.drive("1")
-                self._tick_pending = True
-        else:
-            port.rdata.drive(self._read(addr))
-        port.ready.drive("1")
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`; register semantics are
-        shared through the pure :meth:`_write` / :meth:`_read`."""
+        """The clocked process: end the tariff pulse started last
+        edge, then execute a new bus strobe once (a held strobe only
+        drops ``ready``).  Register semantics live in the pure
+        :meth:`_write` / :meth:`_read`."""
         port = self.port
         wr_slot = ctx.read(port.wr)
         rd_slot = ctx.read(port.rd)

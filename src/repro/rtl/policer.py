@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .cell_stream import CELL_OCTETS, CellStreamPort
@@ -91,7 +90,7 @@ class UpcPolicerRtl(Component):
         self.cells_non_conforming = 0
         self.unpoliced_cells = 0
         self.idle_cells = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     # -- management plane ---------------------------------------------------
     def install_contract(self, vpi: int, vci: int,
@@ -121,25 +120,6 @@ class UpcPolicerRtl(Component):
         }
 
     # -- fast path ------------------------------------------------------------
-    def _tick(self) -> None:
-        self._clock_count += 1
-        self._receive_octet()
-        self._transmit_octet()
-
-    def _receive_octet(self) -> None:
-        if self.rx.valid.value != "1":
-            return
-        octet = vector_to_int(self.rx.atmdata.value)
-        if self.rx.cellsync.value == "1":
-            self._rx_buffer = [octet]
-        elif not self._rx_buffer:
-            return
-        else:
-            self._rx_buffer.append(octet)
-        if len(self._rx_buffer) == CELL_OCTETS:
-            self._police_cell(self._rx_buffer)
-            self._rx_buffer = []
-
     def _police_cell(self, octets: List[int]) -> None:
         vpi = ((octets[0] & 0xF) << 4) | ((octets[1] >> 4) & 0xF)
         vci = (((octets[1] & 0xF) << 12) | (octets[2] << 4)
@@ -185,24 +165,10 @@ class UpcPolicerRtl(Component):
         state.tat_clocks = tat + increment
         return True
 
-    def _transmit_octet(self) -> None:
-        if not self._tx_queue:
-            self.tx.valid.drive("0")
-            self.tx.cellsync.drive("0")
-            return
-        cell = self._tx_queue[0]
-        self.tx.atmdata.drive(cell[self._tx_offset])
-        self.tx.cellsync.drive("1" if self._tx_offset == 0 else "0")
-        self.tx.valid.drive("1")
-        self._tx_offset += 1
-        if self._tx_offset == CELL_OCTETS:
-            self._tx_queue.pop(0)
-            self._tx_offset = 0
-
-    # -- compiled twin --------------------------------------------------------
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick` (policing reuses the pure
-        :meth:`_police_cell`)."""
+        """The clocked process: count the clock, collect one rx octet
+        (a complete cell goes through :meth:`_police_cell`) and stream
+        one tx octet."""
         valid = ctx.read(self.rx.valid)
         cellsync = ctx.read(self.rx.cellsync)
         atmdata = ctx.read(self.rx.atmdata)

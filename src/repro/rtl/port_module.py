@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..hdl.compiled import slot_int
-from ..hdl.logic import vector_to_int
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .cell_stream import CELL_OCTETS, CellStreamPort
@@ -60,7 +59,7 @@ class AtmPortModuleRtl(Component):
         self.hec_errors = 0
         self.unknown_connections = 0
         self.idle_cells = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     # -- management plane ---------------------------------------------------
     def install(self, vpi: int, vci: int, out_vpi: int,
@@ -84,27 +83,6 @@ class AtmPortModuleRtl(Component):
         }
 
     # -- fast path ------------------------------------------------------------
-    def _tick(self) -> None:
-        self._receive_octet()
-        self._transmit_octet()
-
-    def _receive_octet(self) -> None:
-        if self.rx.valid.value != "1":
-            return
-        octet = vector_to_int(self.rx.atmdata.value)
-        if self.rx.cellsync.value == "1":
-            self._rx_buffer = [octet]
-            self._rx_crc = crc8_step(0, octet)
-        elif not self._rx_buffer:
-            return  # octets before the first cellsync
-        else:
-            self._rx_buffer.append(octet)
-            if len(self._rx_buffer) <= 4:
-                self._rx_crc = crc8_step(self._rx_crc, octet)
-        if len(self._rx_buffer) == CELL_OCTETS:
-            self._complete_cell(self._rx_buffer)
-            self._rx_buffer = []
-
     def _complete_cell(self, octets: List[int]) -> None:
         self.cells_received += 1
         if (self._rx_crc ^ _COSET) != octets[4]:
@@ -134,25 +112,9 @@ class AtmPortModuleRtl(Component):
         self.cells_translated += 1
         self._tx_queue.append(header + octets[5:])
 
-    def _transmit_octet(self) -> None:
-        if not self._tx_queue:
-            self.tx.valid.drive("0")
-            self.tx.cellsync.drive("0")
-            return
-        cell = self._tx_queue[0]
-        octet = cell[self._tx_offset]
-        self.tx.atmdata.drive(octet)
-        self.tx.cellsync.drive("1" if self._tx_offset == 0 else "0")
-        self.tx.valid.drive("1")
-        self._tx_offset += 1
-        if self._tx_offset == CELL_OCTETS:
-            self._tx_queue.pop(0)
-            self._tx_offset = 0
-
-    # -- compiled twin --------------------------------------------------------
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick` (cell completion reuses the
-        pure :meth:`_complete_cell`)."""
+        """The clocked process: collect one rx octet (a complete cell
+        goes through :meth:`_complete_cell`) and stream one tx octet."""
         valid = ctx.read(self.rx.valid)
         cellsync = ctx.read(self.rx.cellsync)
         atmdata = ctx.read(self.rx.atmdata)

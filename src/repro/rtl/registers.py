@@ -31,19 +31,12 @@ class Register(Component):
         self.enable = enable
         self.reset = reset
         self._reset_value = reset_value
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
-
-    def _tick(self) -> None:
-        if self.reset is not None and self.reset.value == "1":
-            self.q.drive(self._reset_value)
-            return
-        if self.enable is not None and self.enable.value != "1":
-            return
-        self.q.drive(self.d.value)
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`; the reset value is
-        pre-normalised to slot raw form at compile time."""
+        """The clocked process: reset loads the reset value
+        (pre-normalised to slot raw form once, here), else q follows
+        d while enabled."""
         d = ctx.read(self.d)
         w_q = ctx.write(self.q)
         reset = (ctx.read(self.reset)
@@ -80,19 +73,10 @@ class Counter(Component):
         self.enable = enable
         self.reset = reset
         self._count = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
-
-    def _tick(self) -> None:
-        if self.reset is not None and self.reset.value == "1":
-            self._count = 0
-        elif self.enable is None or self.enable.value == "1":
-            self._count = (self._count + 1) % (1 << self.width)
-        else:
-            return
-        self.q.drive(self._count)
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick`."""
+        """The clocked process: reset clears, enable counts."""
         w_q = ctx.write(self.q)
         reset = (ctx.read(self.reset)
                  if self.reset is not None else None)

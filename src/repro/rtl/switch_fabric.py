@@ -46,8 +46,8 @@ class _PortState:
         #: cells queued for transmission out of this port
         self.tx_queue: Deque[List[int]] = deque()
         self.tx_offset = 0
-        #: compiled-backend shortcut: the idle levels are already
-        #: driven, so the per-edge '0' writes can be skipped
+        #: the idle levels are already driven, so the per-edge '0'
+        #: writes are skipped
         self.tx_idle = False
 
 
@@ -89,7 +89,7 @@ class AtmSwitchRtl(Component):
         self.cells_dropped_overflow = 0
         self.hec_errors = 0
         self.idle_cells = 0
-        self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+        self.clocked(clk, self._compile_seq)
 
     # ------------------------------------------------------------------
     # Management plane
@@ -122,31 +122,6 @@ class AtmSwitchRtl(Component):
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        for index in range(self.num_ports):
-            self._receive(index)
-            self._lookup(index)
-            self._transmit(index)
-
-    def _receive(self, index: int) -> None:
-        rx = self.rx_ports[index]
-        state = self._ports[index]
-        if rx.valid.value != "1":
-            return
-        octet = vector_to_int(rx.atmdata.value)
-        if rx.cellsync.value == "1":
-            state.rx_buffer = [octet]
-            state.rx_crc = crc8_step(0, octet)
-        elif not state.rx_buffer:
-            return
-        else:
-            state.rx_buffer.append(octet)
-            if len(state.rx_buffer) <= 4:
-                state.rx_crc = crc8_step(state.rx_crc, octet)
-        if len(state.rx_buffer) == CELL_OCTETS:
-            self._accept_cell(index, state)
-            state.rx_buffer = []
-
     def _accept_cell(self, index: int, state: _PortState) -> None:
         octets = state.rx_buffer
         self.cells_received += 1
@@ -160,33 +135,6 @@ class AtmSwitchRtl(Component):
             self.idle_cells += 1
             return
         state.lookup_fifo.append(list(octets))
-
-    def _lookup(self, index: int) -> None:
-        state = self._ports[index]
-        client = self.gcu.clients[index]
-        if state.lookup_in_flight:
-            if client.done.value != "1":
-                return
-            client.req.drive("0")
-            state.lookup_in_flight = False
-            octets = state.lookup_fifo.popleft()
-            if client.found.value != "1":
-                self.cells_dropped_unknown += 1
-                return
-            self._forward(octets, client.out_port.as_int(),
-                          client.out_vpi.as_int(),
-                          client.out_vci.as_int())
-            return
-        if not state.lookup_fifo:
-            return
-        head = state.lookup_fifo[0]
-        vpi = ((head[0] & 0xF) << 4) | ((head[1] >> 4) & 0xF)
-        vci = (((head[1] & 0xF) << 12) | (head[2] << 4)
-               | ((head[3] >> 4) & 0xF))
-        client.vpi_in.drive(vpi)
-        client.vci_in.drive(vci)
-        client.req.drive("1")
-        state.lookup_in_flight = True
 
     def _forward(self, octets: List[int], out_port: int, out_vpi: int,
                  out_vci: int) -> None:
@@ -207,30 +155,11 @@ class AtmSwitchRtl(Component):
         self.cells_switched += 1
         target.tx_queue.append(header + octets[5:])
 
-    def _transmit(self, index: int) -> None:
-        state = self._ports[index]
-        tx = self.tx_ports[index]
-        if not state.tx_queue:
-            tx.valid.drive("0")
-            tx.cellsync.drive("0")
-            return
-        cell = state.tx_queue[0]
-        tx.atmdata.drive(cell[state.tx_offset])
-        tx.cellsync.drive("1" if state.tx_offset == 0 else "0")
-        tx.valid.drive("1")
-        state.tx_offset += 1
-        if state.tx_offset == CELL_OCTETS:
-            state.tx_queue.popleft()
-            state.tx_offset = 0
-
-    # ------------------------------------------------------------------
-    # Compiled twin
-    # ------------------------------------------------------------------
     def _compile_seq(self, ctx):
-        """Compiled twin of :meth:`_tick` — per-port receive/lookup/
-        transmit over raw slots (the GCU compiles separately; the two
-        evaluations exchange values through the shared commit phase,
-        exactly like the two event processes exchange them through
+        """The clocked process: per port, receive one octet, step the
+        GCU lookup handshake and transmit one octet.  The GCU is a
+        process of its own; the two exchange values through signals
+        (the compiled kernel's commit phase, or the event kernel's
         delta cycles)."""
         rx_reads = [(ctx.read(rx.valid), ctx.read(rx.cellsync),
                      ctx.read(rx.atmdata)) for rx in self.rx_ports]

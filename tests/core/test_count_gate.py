@@ -11,8 +11,9 @@ per port into ``AccountingUnitRtl``); the behavioural one is the
 four-source bursty mix into ``AccountingUnitBehav`` through taps and an
 ``AtmSwitch``; the response-path one sends random payloads through
 ``AtmPortModuleRtl`` coupled with ``rx_port`` and ``tx_port``; the shard
-one is a two-shard behavioural chain replayed in-process.  All run
-in milliseconds.  A change that moves a number
+one is a two-shard behavioural chain replayed in-process; the last is
+E1's pure-RTL bench in miniature with every process on the event
+kernel.  All run in milliseconds.  A change that moves a number
 here on purpose edits the pin in the same commit and says why.
 """
 
@@ -25,9 +26,11 @@ import pytest
 from repro.atm import AtmCell, AtmSwitch
 from repro.behav import AccountingUnitBehav
 from repro.core import CoVerificationEnvironment, TimeBase
+from repro.hdl import CycleEngine, Simulator
 from repro.netsim import SinkModule
 from repro.obs.scenario import run_observed_e1
-from repro.rtl import AtmPortModuleRtl
+from repro.rtl import (AccountingUnitRtl, AtmPortModuleRtl, AtmSwitchRtl,
+                       CellReceiver, CellSender)
 from repro.shard import ShardSpec, TopologySpec, run_topology
 from repro.traffic import (MarkovModulatedPoisson, OnOffSource,
                            ParetoOnOffSource, PoissonArrivals,
@@ -297,3 +300,62 @@ def test_two_shard_chain_counts_are_pinned():
             hashlib.sha256(repr(result["records"]).encode()).hexdigest())
     assert counts == CHAIN_COUNTS
     assert report["digest"] == CHAIN_DIGEST
+
+
+# ----------------------------------------------------------------------
+# E1's pure-RTL bench in miniature, every process on the event kernel
+# ----------------------------------------------------------------------
+def run_pure_rtl_event(cells_per_port=8):
+    """The shape of E1's pure-RTL row at a quarter of a port's cells:
+    an ``AtmSwitchRtl`` fed by four ``CellSender`` at 25 % load (idle
+    cells fill the other slots), a ``CellReceiver`` on every output and
+    ``AccountingUnitRtl`` on port 0's, built with
+    ``rtl_backend = "event"``.  Returns the simulator and the DUTs'
+    observations."""
+    timebase = TimeBase.for_line_rate()
+    period = timebase.clock_period_ticks
+    sim = Simulator(time_unit=timebase.tick_seconds)
+    sim.rtl_backend = "event"
+    clk = sim.signal("clk", init="0")
+    CycleEngine(sim, clk, period=period)
+    fabric = AtmSwitchRtl(sim, "fabric", clk, num_ports=4, queue_depth=64)
+    receivers = []
+    for port in range(4):
+        vci = 100 + port
+        fabric.install_connection(port, 1, vci, port, 1, vci)
+        sender = CellSender(sim, f"gen{port}", clk,
+                            port=fabric.rx_ports[port])
+        receivers.append(CellReceiver(sim, f"mon{port}", clk,
+                                      fabric.tx_ports[port]))
+        for i in range(cells_per_port):
+            sender.send(AtmCell.with_payload(1, vci, [i]).to_octets())
+            for _ in range(3):
+                sender.send(AtmCell.idle().to_octets())
+    dut = AccountingUnitRtl(sim, "acct", clk, rx=fabric.tx_ports[0])
+    dut.register(1, 100, units_per_cell=2)
+    sim.run(until=53 * (4 * cells_per_port + 10) * period)
+    observed = (fabric.cells_received, fabric.cells_switched,
+                [len(r.cells) for r in receivers], dut.cells_seen)
+    return sim, observed
+
+
+PURE_RTL_EVENT_COUNTS = {
+    # the same as when the event kernel ran hand-written event bodies
+    "signal_events": 5907,
+    "process_runs": 8449,
+    # the compile hooks the event kernel now runs skip repeated idle
+    # drives (with the hand-written event bodies: 34266 and 6855)
+    "events_executed": 11050,
+    "delta_cycles": 5174,
+    "compiled_components": 0,
+    "compiled_evals": 0,
+    "compiled_fallbacks": 0,
+}
+
+
+def test_pure_rtl_event_backend_counts_are_pinned():
+    sim, observed = run_pure_rtl_event()
+    stats = sim.stats_snapshot()
+    assert {key: stats[key] for key in PURE_RTL_EVENT_COUNTS} \
+        == PURE_RTL_EVENT_COUNTS
+    assert observed == (128, 32, [8, 8, 8, 8], 8)

@@ -1,18 +1,15 @@
 """Unit tests of the compiled (levelized) RTL backend.
 
-Covers the compile-time contracts: levelization order, combinational
-cycle diagnostics (the error names the looping signals), unsupported
-feature fallback per component, the event-only selector, late
-compilation after the simulator has initialized, and the kernel's
-statistics surface.
+Covers the compile-time contracts: unsupported-feature fallback per
+component, the event-only selector, late compilation after the
+simulator has initialized, and the kernel's statistics surface.
 """
 
 import pytest
 
-from repro.hdl import (CombinationalCycleError, CompileError,
-                       CompiledKernel, CycleEngine, Simulator,
-                       UnsupportedFeature, compile_kernel, raw_value,
-                       slot_int)
+from repro.hdl import (CompileError, CompiledKernel, CycleEngine,
+                       Simulator, UnsupportedFeature, compile_kernel,
+                       raw_value, slot_int)
 from repro.rtl import Component
 
 PERIOD = 10
@@ -31,19 +28,13 @@ def make_sim(clocking="cycle", backend=None):
 
 
 class Toggle(Component):
-    """Minimal compiled component: q toggles every clock."""
+    """Minimal component: q toggles every clock."""
 
-    def __init__(self, sim, name, clk, compile_fn="default"):
+    def __init__(self, sim, name, clk):
         super().__init__(sim, name)
         self.q = self.signal("q", init="0")
         self._state = 0
-        if compile_fn == "default":
-            compile_fn = self._compile_seq
-        self.clocked(clk, self._tick, compile_fn=compile_fn)
-
-    def _tick(self):
-        self._state ^= 1
-        self.q.drive("1" if self._state else "0")
+        self.clocked(clk, self._compile_seq)
 
     def _compile_seq(self, ctx):
         w_q = ctx.write(self.q)
@@ -124,104 +115,6 @@ def test_compile_hook_must_return_callable():
 
 
 # ---------------------------------------------------------------------------
-# Combinational levelization
-# ---------------------------------------------------------------------------
-
-def _comb_chain(sim, clk, order):
-    """a -> b -> c combinational chain registered in *order*; a is
-    sequential (toggles), b = a, c = b."""
-    kernel = compile_kernel(sim, clk)
-    a = sim.signal("a", init="0")
-    b = sim.signal("b", init="0")
-    c = sim.signal("c", init="0")
-    state = {"v": 0}
-
-    def seq(ctx):
-        w_a = ctx.write(a)
-
-        def evaluate():
-            state["v"] ^= 1
-            w_a("1" if state["v"] else "0")
-
-        return evaluate
-
-    def make_buffer(src, dst):
-        def builder(ctx):
-            r = ctx.read(src)
-            w = ctx.write(dst)
-            return lambda: w(r.value)
-        return builder
-
-    kernel.add_seq("seq", seq)
-    builders = {"b": make_buffer(a, b), "c": make_buffer(b, c)}
-    for key in order:
-        kernel.add_comb(key, builders[key])
-    return a, b, c
-
-
-@pytest.mark.parametrize("order", [("b", "c"), ("c", "b")])
-def test_comb_chain_levelized_regardless_of_order(order):
-    sim, clk = make_sim()
-    a, b, c = _comb_chain(sim, clk, order)
-    sim.run(until=PERIOD)          # one rising edge
-    assert (a.value, b.value, c.value) == ("1", "1", "1")
-    sim.run(until=2 * PERIOD)
-    assert (a.value, b.value, c.value) == ("0", "0", "0")
-
-
-def make_buffer(src, dst):
-    def builder(ctx):
-        r = ctx.read(src)
-        w = ctx.write(dst)
-        return lambda: w(r.value)
-    return builder
-
-
-def test_combinational_cycle_diagnostic_names_signals():
-    sim, clk = make_sim()
-    kernel = compile_kernel(sim, clk)
-    x = sim.signal("loop.x", init="0")
-    y = sim.signal("loop.y", init="0")
-    kernel.add_comb("xy", make_buffer(x, y))   # forward-reads x
-    with pytest.raises(CombinationalCycleError) as excinfo:
-        kernel.add_comb("yx", make_buffer(y, x))
-    message = str(excinfo.value)
-    assert "loop.x" in message and "loop.y" in message
-
-
-def test_self_dependent_comb_is_a_cycle():
-    sim, clk = make_sim()
-    kernel = compile_kernel(sim, clk)
-    q = sim.signal("latch.q", init="0")
-    with pytest.raises(CombinationalCycleError) as excinfo:
-        kernel.add_comb("latch", make_buffer(q, q))
-    assert "latch.q" in str(excinfo.value)
-
-
-def test_comb_input_with_foreign_driver_rejected_at_registration():
-    sim, clk = make_sim()
-    kernel = compile_kernel(sim, clk)
-    outside = sim.signal("outside", init="0")
-    outside.drive("1")
-    sim.run(until=PERIOD)          # anonymous driver now owns outside
-    out = sim.signal("out", init="0")
-    with pytest.raises(UnsupportedFeature) as excinfo:
-        kernel.add_comb("c", make_buffer(outside, out))
-    assert "outside" in str(excinfo.value)
-
-
-def test_unresolved_forward_reference_fails_at_initialize():
-    sim, clk = make_sim()
-    kernel = compile_kernel(sim, clk)
-    pending = sim.signal("pending", init="0")
-    out = sim.signal("out", init="0")
-    kernel.add_comb("c", make_buffer(pending, out))  # tolerated now...
-    with pytest.raises(UnsupportedFeature) as excinfo:
-        sim.run(until=PERIOD)      # ...but nothing ever wrote it
-    assert "pending" in str(excinfo.value)
-
-
-# ---------------------------------------------------------------------------
 # Backend selection and fallback
 # ---------------------------------------------------------------------------
 
@@ -243,27 +136,19 @@ def test_invalid_backend_rejected():
         Toggle(sim, "t", clk)
 
 
-def test_auto_fallback_counts_and_still_runs():
+def test_auto_fallback_counts_and_still_runs(monkeypatch):
     sim, clk = make_sim()
 
-    def refuse(_ctx):
+    def refuse(_kernel, _label, _build):
         raise UnsupportedFeature("deliberately unsupported")
 
-    toggle = Toggle(sim, "t", clk, compile_fn=refuse)
+    monkeypatch.setattr(CompiledKernel, "add_seq", refuse)
+    toggle = Toggle(sim, "t", clk)
     assert toggle.backends["seq"] == "event"
     assert sim.compiled_fallbacks == 1
     sim.run(until=2 * PERIOD)
     assert toggle.q.value == "0"   # toggled twice
     assert sim.stats_snapshot()["compiled_fallbacks"] == 1
-
-
-def test_missing_hook_runs_event_body_uncounted():
-    sim, clk = make_sim()
-    toggle = Toggle(sim, "t", clk, compile_fn=None)
-    assert toggle.backends["seq"] == "event"
-    assert sim.compiled_fallbacks == 0
-    sim.run(until=3 * PERIOD)
-    assert toggle.q.value == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +197,6 @@ def test_stats_snapshot_reports_compiled_activity():
     kernel = compile_kernel(sim, clk)
     snap = kernel.stats_snapshot()
     assert snap["seq_evals"] == 1
-    assert snap["comb_evals"] == 0
     assert snap["evals_run"] == 4
     assert snap["commit_writes"] == 4
 
@@ -326,8 +210,7 @@ def test_idle_compiled_component_schedules_no_commit():
         def __init__(self, sim, name, clk):
             super().__init__(sim, name)
             self.q = self.signal("q", init="0")
-            self.clocked(clk, lambda: self.q.drive("0"),
-                         compile_fn=self._compile_seq)
+            self.clocked(clk, self._compile_seq)
 
         def _compile_seq(self, ctx):
             w_q = ctx.write(self.q)
