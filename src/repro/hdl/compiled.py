@@ -315,7 +315,10 @@ class CompiledKernel:
         callers guarantee a rising edge.  Deliberately not a process:
         an idle edge costs the evaluations and nothing else.  The
         engine's whole-cycle path (``CycleEngine._run_quiet``) is this
-        method unrolled over a stretch of edges: keep the two alike."""
+        method unrolled over a stretch of edges, with the counting
+        deferred to one settle per stretch and the commit run in place
+        of scheduling it: keep the evaluation order and the
+        ``evals_run`` / commit accounting of the two alike."""
         evals = self._seq_evals
         for evaluate in evals:
             evaluate()
@@ -325,7 +328,10 @@ class CompiledKernel:
 
     def _commit(self) -> None:
         """Apply the dirty slots to their signals (one delta cycle's
-        worth of updates), firing hooks and waking observers."""
+        worth of updates), firing hooks and waking observers.  A
+        signal no process is sensitive to or waits on skips the
+        observer dispatch, and a vector written as an int takes its
+        canonical form from the signal's normalisation memo."""
         dirty = self._dirty
         if not dirty:
             return
@@ -336,10 +342,11 @@ class CompiledKernel:
         now = sim.now
         hooks = sim.signal_hooks
         resumes = sim._pending_resumes
+        waiters = sim._waiters
         # Observers woken here run in the NEXT delta cycle (they are
         # zero-delay resumes); .event must read True there.
         event_stamp = sim._delta_stamp + 1
-        seen: set = set()
+        seen = None
         self.commit_writes += len(pending)
         for slot in pending:
             slot.dirty = False
@@ -351,7 +358,10 @@ class CompiledKernel:
                 canonical = value if type(value) is str \
                     else signal._normalize(value)
             else:
-                canonical = signal._normalize(value)
+                canonical = signal._norm_cache.get(value) \
+                    if type(value) is int else None
+                if canonical is None:
+                    canonical = signal._normalize(value)
             drivers = signal._drivers
             drivers[driver] = canonical
             if len(drivers) > 1:
@@ -370,9 +380,12 @@ class CompiledKernel:
             signal._value = canonical
             signal.change_count += 1
             signal.last_event_time = now
-            woken = sim._wake_observers(signal, resumes, seen)
-            if woken:
-                signal._event_delta = event_stamp
+            if (signal._sensitive or signal._sensitive_rise
+                    or waiters.get(id(signal))):
+                if seen is None:
+                    seen = set()
+                if sim._wake_observers(signal, resumes, seen):
+                    signal._event_delta = event_stamp
             if hooks:
                 for hook in hooks:
                     hook(signal)

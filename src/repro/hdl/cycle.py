@@ -27,14 +27,17 @@ the latter:
   the run's horizon, before the next timed heap event or with the
   first waveform batch due off a rising edge.  Inside it a rising edge
   is ``sim.now = t``, the kernel's sequential evaluations and a test
-  of the dirty list; a falling edge is not executed at all.  What
-  per-edge evaluation would have counted or stamped (kernel and engine
-  counters, the clock's value, ``change_count``, ``last_event_time``,
-  event stamp) is settled arithmetically before any other code can
-  read it.  An edge that stages an output change or has a batch due
-  settles, then runs the commit delta and the batch's post-edge delta
-  in place; only a commit that wakes a process, or a batch with an
-  observer or a completion callback, leaves the stretch.
+  of the dirty list; a falling edge is not executed at all.  A *busy*
+  edge — one that stages an output change or has a batch due — adds
+  the delta stamp (arithmetic: entry stamp, two per edge, and what the
+  stretch's commits and batches took), the commit and the batch's
+  post-edge delta, applied in place stream by stream through
+  ``Signal._apply``.  What per-edge evaluation would have counted or
+  stamped (kernel, engine and simulator counters, the clock's value,
+  ``change_count``, ``last_event_time``, event stamp) is settled
+  arithmetically once per stretch: at its end, or before any other
+  code can read it.  Only a commit that wakes a process, or a batch
+  with an observer or a completion callback, leaves the stretch.
 * **The general edge** (``_apply_edge``) serves every other one —
   event-backend processes, generator waiters, VCD hooks, falling-edge
   logic, coincident delta work: one inline delta cycle waking the
@@ -53,6 +56,7 @@ also call ``sim.add_clock`` on it) keeps every edge general.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from .processes import Process
@@ -113,10 +117,12 @@ class CycleEngine:
         #: rising / all clock edges applied so far (observability)
         self.cycles_run = 0
         self.edges_applied = 0
-        #: quiet stretches run, edges applied by the general path and
-        #: waveform batches applied inside a stretch (cost model)
+        #: quiet stretches run, edges applied by the general path,
+        #: edges inside a stretch that committed or absorbed a batch
+        #: and waveform batches applied inside a stretch (cost model)
         self.stretches = 0
         self.general_edges = 0
+        self.busy_edges = 0
         self.batches_absorbed = 0
         # Publish the clock geometry so bulk-stimulus compilers (e.g.
         # CellSender's waveform fast path) can place transitions on
@@ -232,12 +238,19 @@ class CycleEngine:
         drains after the stretch).  A rising edge is the kernel's
         sequential evaluations (which see ``sim.now`` and the clock
         high) and a test of the dirty list, a falling edge nothing.
-        An edge with a staged change or a batch is settled
-        (:meth:`_settle`), then runs the commit delta and the batch's
-        post-edge delta directly; a commit that woke a process, or a
-        batch with an observer or a completion callback, goes through
-        the general delta loop and ends the stretch (either can end the
-        quiet).  Returns False when no edge lies in the stretch."""
+
+        A *busy* edge — one with a staged change or a batch due — also
+        brings ``sim._delta_stamp`` up to date (arithmetic: the stamp
+        at entry, two per edge, plus what the stretch's commits and
+        batches took), runs the commit and applies every stream due at
+        the edge in place, through ``Signal._apply``, as one post-edge
+        delta.  Everything else an edge leaves behind is settled once
+        (:meth:`_settle`): when the stretch ends, or before code that
+        could read it runs — a commit that woke a process, a batch
+        with an observer or a completion callback (these two go through
+        the general delta loop and end the stretch, since either can
+        end the quiet), or an evaluation or commit that raises.
+        Returns False when no edge lies in the stretch."""
         sim = self.sim
         clk = self.clk
         heap = sim._heap
@@ -250,79 +263,158 @@ class CycleEngine:
         if stop <= first or due < first:
             return False
         period = self.period
-        rise = first if self._next_edge_value == "1" else \
-            first + self.low_ticks
+        rising_first = self._next_edge_value == "1"
+        rise = first if rising_first else first + self.low_ticks
         kernel = clk._compiled_kernel
         evals = kernel._seq_evals if kernel is not None else ()
         dirty = kernel._dirty if kernel is not None else ()
-        waiters = sim._waiters
+        # the delta stamp once the edge at *rise* has settled; *extra*
+        # counts the stamps commits and batches took, *tail* those
+        # taken at the last busy edge (at *busy_rise*)
+        entry = sim._delta_stamp
+        stamp = entry + (2 if rising_first else 4)
+        extra = tail = busy = commits = batches = events = changes = 0
+        busy_rise = rise
         clk._previous, clk._value = "0", "1"
         if clk._compiled_slot is not None:
             clk._compiled_slot.value = "1"
         while rise < stop and due >= rise:
             if not evals and due > rise:
                 # nothing to evaluate: skip to the batch's cycle
-                rise += (min(due, stop - 1) - rise) // period * period
+                skip = (min(due, stop - 1) - rise) // period
+                rise += skip * period
+                stamp += 4 * skip
             sim.now = rise
             try:
                 for evaluate in evals:
                     evaluate()
             except BaseException:
-                self._settle(rise)
+                self._settle(rise, entry + extra, 0, busy, commits,
+                             batches, events, changes)
                 kernel.evals_run -= len(evals)   # as _on_edge counts
                 raise
             if dirty or due == rise:
-                self._settle(rise)
+                busy_rise = rise
+                tail = 0
+                sim._delta_stamp = stamp
                 if dirty:
-                    # The commit delta: one round holding only the
-                    # commit process.
-                    sim.delta_cycles += 1
-                    commit = kernel._commit_proc
-                    commit.runs += 1
-                    sim._current_process = commit
+                    # the commit delta: one round holding only the
+                    # commit process
+                    commits += 1
                     try:
                         kernel._commit()
-                    finally:
-                        sim._current_process = None
-                    sim.process_runs += 1
+                    except BaseException:
+                        self._settle(rise, entry + extra, 0, busy,
+                                     commits, batches, events, changes)
+                        sim.process_runs -= 1    # as the delta loop counts
+                        raise
                     if sim._pending_resumes:
+                        self._settle(rise, entry + extra, 0, busy + 1,
+                                     commits, batches, events, changes)
                         sim._execute_deltas()
                         return True
-                    sim._delta_stamp += 1
+                    stamp += 1
+                    extra += 1
+                    tail = 1
                 if due == rise:
-                    fired = sim._collect_wave_due(rise)
-                    updates = sim._pending_updates
-                    for signal, _driver, _value in updates:
-                        if (signal._sensitive or signal._sensitive_rise
-                                or signal._compiled_kernel
-                                or signal is clk
-                                or waiters.get(id(signal))):
-                            fired = True             # an observer
-                            break
-                    if fired:
+                    due_streams = self._take_due(rise)
+                    if due_streams is None:
+                        # an edge that committed counts as busy
+                        self._settle(rise, entry + extra, tail,
+                                     busy + tail, commits, batches, events,
+                                     changes)
+                        sim._collect_wave_due(rise)
                         sim._execute_deltas()
                         return True
                     # the post-edge delta of a batch that wakes no one
-                    sim._pending_updates = []
-                    sim._apply_updates(updates)
-                    sim._delta_stamp += 1
-                    self.batches_absorbed += 1
+                    stamp += 1
+                    for stream, end in due_streams:
+                        transitions = stream.transitions
+                        driver = stream.driver
+                        index = stream.index
+                        events += end - index
+                        while index < end:
+                            _offset, signal, value = transitions[index]
+                            if signal._apply(driver, value):
+                                signal._event_delta = stamp
+                                signal.last_event_time = rise
+                                changes += 1
+                            index += 1
+                        stream.index = end
+                        next_time = stream.next_time()
+                        if next_time is not None:
+                            heappush(wave, (next_time, stream.order, stream))
+                    stamp += 1
+                    extra += 2
+                    tail += 2
+                    batches += 1
                     due = wave[0][0] if wave else stop
+                busy += 1
             rise += period
+            stamp += 4
         if due < stop:
             stop = due + 1                   # a batch follows its edge
-        self._settle(stop - 1)
+        through = stop - 1
+        # the stamps taken after the last edge: the last busy edge's,
+        # unless a falling edge follows it
+        self._settle(through, entry + extra,
+                     tail if through < busy_rise + self.high_ticks else 0,
+                     busy, commits, batches, events, changes)
         return True
 
-    def _settle(self, through: int) -> None:
-        """Account for the quiet edges from the next scheduled one up
-        to time *through* in one step: what that many
-        :meth:`_apply_edge` calls that woke nothing leave behind."""
-        first = self._next_edge_time
-        if through < first:
-            return
+    def _take_due(self, rise: int) -> Optional[List[tuple]]:
+        """Pop the waveform streams due at the rising edge *rise*, in
+        playback order, each with the end index of its due
+        transitions; or return None, leaving every stream on the heap,
+        when one of them fires a completion callback or drives a signal
+        someone observes."""
+        wave = self.sim._wave_heap
+        waiters = self.sim._waiters
+        clk = self.clk
+        due_streams = []
+        while wave and wave[0][0] == rise:
+            stream = wave[0][2]
+            offset = rise - stream.base
+            callbacks = stream.callbacks
+            if (stream.cb_index < len(callbacks)
+                    and callbacks[stream.cb_index][0] <= offset):
+                break                           # a completion callback
+            transitions = stream.transitions
+            count = len(transitions)
+            end = stream.index
+            while end < count and transitions[end][0] <= offset:
+                signal = transitions[end][1]
+                if (signal._sensitive or signal._sensitive_rise
+                        or signal._compiled_kernel or signal is clk
+                        or waiters.get(id(signal))):
+                    break
+                end += 1
+            if end < count and transitions[end][0] <= offset:
+                break                           # an observer
+            heappop(wave)
+            due_streams.append((stream, end))
+        else:
+            return due_streams
+        for stream, _end in due_streams:
+            heappush(wave, (rise, stream.order, stream))
+        return None
+
+    def _settle(self, through: int, stamp: int, tail: int, busy: int,
+                commits: int, batches: int, events: int,
+                changes: int) -> None:
+        """Account in one step for the stretch's edges from the next
+        scheduled one up to time *through* (at least one): what that
+        many :meth:`_apply_edge` calls that woke nothing leave behind
+        — clock fields, time, engine, kernel and simulator counters
+        and the delta stamp — plus what its busy edges did: *commits*
+        commit deltas, *batches* post-edge deltas applying *events*
+        transitions of which *changes* changed a value, on *busy*
+        edges.  *stamp* is the delta stamp at the stretch's entry plus
+        the stamps its commits and batches took, the last *tail* of
+        them after the last edge."""
         sim = self.sim
         clk = self.clk
+        first = self._next_edge_time
         rising_first = self._next_edge_value == "1"
         span = self.high_ticks if rising_first else self.low_ticks
         cycles, rest = divmod(through - first, self.period)
@@ -338,22 +430,29 @@ class CycleEngine:
             self._next_edge_time = now + self.low_ticks
         self.edges_applied += edges
         self.cycles_run += rises
+        self.busy_edges += busy
+        self.batches_absorbed += batches
         sim.now = now
-        sim.delta_cycles += edges
-        sim.events_executed += edges
-        sim.signal_events += edges
-        sim._delta_stamp += 2 * edges
+        sim.delta_cycles += edges + commits + batches
+        sim.events_executed += edges + events
+        sim.signal_events += edges + changes
+        sim.process_runs += commits
+        sim.waveform_events += events
+        sim._wave_pending -= events
+        stamp += 2 * edges
+        sim._delta_stamp = stamp
         clk._drivers[self._driver] = value
         clk._previous = self._next_edge_value
         clk._value = value
         clk.change_count += edges
-        clk._event_delta = sim._delta_stamp - 1
+        clk._event_delta = stamp - 1 - tail
         clk.last_event_time = now
         if clk._compiled_slot is not None:
             clk._compiled_slot.value = value
         kernel = clk._compiled_kernel
         if kernel is not None:
             kernel.evals_run += rises * len(kernel._seq_evals)
+            kernel._commit_proc.runs += commits
 
     def _prime(self) -> None:
         """Apply the pre-first-edge clock level once, mirroring the
@@ -470,6 +569,7 @@ class CycleEngine:
             "edges_applied": self.edges_applied,
             "stretches": self.stretches,
             "general_edges": self.general_edges,
+            "busy_edges": self.busy_edges,
             "batches_absorbed": self.batches_absorbed,
         }
 

@@ -379,13 +379,11 @@ class Simulator:
                        (stream.next_time(), stream.order, stream))
         return stream
 
-    def _collect_wave_due(self, time: int) -> int:
+    def _collect_wave_due(self, time: int) -> None:
         """Move every waveform transition due at *time* to the pending
-        updates (in stream order) and fire due completion callbacks;
-        returns the number of callbacks fired."""
+        updates (in stream order) and fire due completion callbacks."""
         wave = self._wave_heap
         pending = self._pending_updates
-        fired = 0
         while wave and wave[0][0] <= time:
             # The head stays on the heap while it plays: a stream a
             # callback schedules sorts after it (later order, no earlier
@@ -410,14 +408,12 @@ class Simulator:
                    and base + callbacks[cb_index][0] <= time):
                 callbacks[cb_index][1]()
                 cb_index += 1
-            fired += cb_index - stream.cb_index
             stream.cb_index = cb_index
             next_time = stream.next_time()
             if next_time is None:
                 heapq.heappop(wave)
             else:
                 heapq.heapreplace(wave, (next_time, stream.order, stream))
-        return fired
 
     # ------------------------------------------------------------------
     # Execution
@@ -605,11 +601,23 @@ class Simulator:
                 raise CombinationalLoopError(
                     f"more than {self.max_delta_cycles} delta cycles at "
                     f"t={self.now}: zero-delay feedback loop?")
+            self._delta_stamp += 1
+            stamp = self._delta_stamp
+            self.delta_cycles += 1
             updates = self._pending_updates
             resumes = self._pending_resumes
             self._pending_updates = []
             self._pending_resumes = []
-            changed = self._apply_updates(updates)
+
+            now = self.now
+            changed: List[Signal] = []
+            self.events_executed += len(updates)
+            for signal, driver, value in updates:
+                if signal._apply(driver, value):
+                    signal._event_delta = stamp
+                    signal.last_event_time = now
+                    changed.append(signal)
+            self.signal_events += len(changed)
 
             runnable: List[Process] = []
             seen = set()
@@ -638,26 +646,6 @@ class Simulator:
         # Leave the stamp pointing past the last delta so that
         # Signal.event reads False once delta processing has settled.
         self._delta_stamp += 1
-
-    def _apply_updates(self, updates: List[tuple]) -> List[Signal]:
-        """Open a delta cycle and apply *updates* in it; returns the
-        signals whose value changed.  The apply phase of the delta loop,
-        shared with the :class:`~repro.hdl.cycle.CycleEngine`, which
-        applies edge-aligned waveform batches that wake no one with it
-        (the caller then wakes observers and settles the stamp)."""
-        self._delta_stamp += 1
-        stamp = self._delta_stamp
-        self.delta_cycles += 1
-        now = self.now
-        changed: List[Signal] = []
-        self.events_executed += len(updates)
-        for signal, driver, value in updates:
-            if signal._apply(driver, value):
-                signal._event_delta = stamp
-                signal.last_event_time = now
-                changed.append(signal)
-        self.signal_events += len(changed)
-        return changed
 
     def _wake_observers(self, signal: Signal, runnable: List[Process],
                         seen: set) -> int:

@@ -348,6 +348,8 @@ class _Ring:
         while sent < len(view):
             head = self._head()
             free = capacity - (head - self._tail())
+            if not 0 <= free <= capacity:
+                continue                # a torn counter read: re-read
             if free == 0:
                 if self.peer_closed:
                     raise TransportClosed(
@@ -384,6 +386,8 @@ class _Ring:
         while got < need:
             tail = self._tail()
             avail = self._head() - tail
+            if not 0 <= avail <= capacity:
+                continue                # a torn counter read: re-read
             if avail == 0:
                 if self.peer_closed and self._head() == tail:
                     raise TransportClosed(

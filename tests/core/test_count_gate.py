@@ -63,6 +63,7 @@ SYNC_COUNTS = {
 ENGINE_COUNTS = {
     "stretches": 83,
     "general_edges": 1,
+    "busy_edges": 406,
     "batches_absorbed": 381,
 }
 
@@ -90,8 +91,9 @@ def test_synchroniser_counts_are_pinned(report):
 
 def test_clock_engine_stretch_counts_are_pinned(report):
     """How the engine clocked the run: quiet stretches, edges through
-    the general path and waveform batches applied inside a stretch
-    (the cost model's inputs; none of them is counted per quiet edge)."""
+    the general path, busy edges (a commit or a batch inside a stretch)
+    and waveform batches applied inside a stretch (the cost model's
+    inputs; none of them is counted per quiet edge)."""
     engine = report["clock_engine"]
     assert {key: engine[key] for key in ENGINE_COUNTS} == ENGINE_COUNTS
 
@@ -192,7 +194,7 @@ def run_port_module(cells_per_source=8, seed=0):
     """Four Poisson sources at load 0.2 per port with seeded random
     payloads, each through a tap into ``AtmPortModuleRtl`` (header
     translation VCI -> VCI + 100) coupled with ``rx_port`` and
-    ``tx_port``.  Returns the environment and the entity."""
+    ``tx_port``.  Returns the environment, the entity and the DUT."""
     timebase = TimeBase.for_line_rate()
     cell_time = timebase.cell_time_seconds
     env = CoVerificationEnvironment(timebase=timebase, observe=False)
@@ -224,7 +226,7 @@ def run_port_module(cells_per_source=8, seed=0):
         env.network.add_link(switch.node, port, host, 0, rate_bps=155.52e6)
     env.run()
     env.finish()
-    return env, entity
+    return env, entity, dut
 
 
 PORT_HDL_COUNTS = {
@@ -251,13 +253,35 @@ PORT_SYNC_COUNTS = {
     "messages_released": 32,
     "ticks_simulated": 149269,
 }
+PORT_ENGINE_COUNTS = {
+    "stretches": 67,
+    "general_edges": 0,
+    "busy_edges": 2333,
+    "batches_absorbed": 1670,
+}
+#: (change_count, last_event_time) of the DUT's port signals: the
+#: stimulus the engine applies in place and the outputs it commits
+PORT_SIGNAL_COUNTS = {
+    "port.rx.atmdata": (1687, 149150),
+    "port.rx.cellsync": (64, 146549),
+    "port.rx.valid": (64, 149201),
+    "port.tx.atmdata": (1687, 151853),
+    "port.tx.cellsync": (64, 149252),
+    "port.tx.valid": (28, 151904),
+}
 PORT_OUTPUT_SHA256 = (
     "b12c6fc33cf8354ee4aed5d853347d2cf4522050af482bf2acc0eb058ac92867")
 
 
 def test_response_path_counts_are_pinned():
-    env, entity = run_port_module()
+    env, entity, dut = run_port_module()
     assert env.hdl.stats_snapshot() == PORT_HDL_COUNTS
+    engine = env.clock_engine.stats_snapshot()
+    assert {key: engine[key] for key in PORT_ENGINE_COUNTS} \
+        == PORT_ENGINE_COUNTS
+    assert {s.name: (s.change_count, s.last_event_time)
+            for s in dut.rx.signals() + dut.tx.signals()} \
+        == PORT_SIGNAL_COUNTS
     snapshot = entity.snapshot()
     assert {key: snapshot["sync"][key] for key in PORT_SYNC_COUNTS} \
         == PORT_SYNC_COUNTS

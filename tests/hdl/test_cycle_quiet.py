@@ -6,9 +6,10 @@ evaluations plus arithmetic and every other edge through the general
 schedule of ``run(until=)`` slices, waveforms (on and off the rising
 edges, onto signals read only by the compiled kernel or by an event
 process, with completion callbacks that add a signal hook, schedule a
-timed event or park a waiter on the clock), timed events, edge
-waiters, a VCD hook attached mid-run and falling-edge logic is replayed
-on the same compiled design under
+timed event or park a waiter on the clock; two streams due on the same
+rising edges; long busy runs with a batch and a commit on every edge),
+timed events, edge waiters, a VCD hook attached mid-run and
+falling-edge logic is replayed on the same compiled design under
 
 * ``"cycle"`` — the engine as shipped,
 * ``"general"`` — the engine kept out of the quiet path by a no-op
@@ -20,9 +21,12 @@ on the same compiled design under
   delta there, so that schedule keeps timed events off the edges).
 
 Compared: the VCD written from the step the writer is attached at, the
-log of every process woken on the way (time, clock level, ``clk.event``,
-outputs, kernel counters as seen from inside the process), the final
-kernel counters, the engine's own edge and cycle counts, ``clk.change_count`` / ``last_event_time`` and values.
+log of every process woken on the way (time, kernel counters and the
+value, ``previous``, ``change_count``, ``last_event_time`` and
+``event`` of the clock, the stimulus targets and the outputs, as seen
+from inside the process), the same at the end, and the engine's own
+edge and cycle counts.  Against the general path the delta stamp and
+every signal's event stamp must match too, at every logged step.
 """
 
 import pytest
@@ -79,6 +83,7 @@ class Bench:
                     falls.drive((falls.as_int() + 1) % 16)
             sim.add_process("on_fall", on_clk, sensitivity=[clk])
         self.log = []
+        self.stamp_log = []
         self.vcd = None
 
     def counters(self):
@@ -91,16 +96,28 @@ class Bench:
             values[3] -= self.clock_proc.runs
         return tuple(values)
 
+    def signals(self):
+        """Everything a reader can see of the clock, the stimulus
+        targets and the outputs."""
+        return tuple((s.value, s.previous, s.change_count,
+                      s.last_event_time, s.event)
+                     for s in [self.clk] + self.outputs)
+
+    def stamps(self):
+        """The delta stamp and every signal's event stamp: compared
+        against the general edge path only (the generator clock spends
+        one more delta round per edge)."""
+        return (self.sim._delta_stamp,) + tuple(
+            s._event_delta for s in [self.clk] + self.outputs)
+
     def note(self, tag):
-        clk = self.clk
         counters = self.counters()
         # process_runs is compared at the end only: the delta loop
         # counts a round's processes one by one, the engine's edge
         # dispatch all at once after the last one
-        self.log.append((tag, self.sim.now, clk.value, clk.event,
-                         clk.change_count, clk.last_event_time,
-                         tuple(s.value for s in self.outputs),
+        self.log.append((tag, self.sim.now, self.signals(),
                          counters[:3] + counters[4:]))
+        self.stamp_log.append(self.stamps())
 
     def on_edge(self, time):
         return time > 0 and time % self.period in (0, self.low)
@@ -128,6 +145,24 @@ class Bench:
             last = transitions[-1][0] if transitions else base
             sim.schedule_waveform(transitions, callbacks=[
                 (last, lambda: self.on_batch(callback, keep_off_edges))])
+        elif kind == "pair":
+            # two streams due on the same rising edges (the second one
+            # carries the completion callback)
+            _kind, items, callback = action
+            base = sim.next_rising_edge(self.clk) - sim.now
+            sim.schedule_waveform([
+                (base + k * self.period, getattr(self, name), value)
+                for k, (name, value), _second in items])
+            self.act(("edges", [(k, name, value) for k, _first,
+                                (name, value) in items], 0, callback),
+                     keep_off_edges)
+        elif kind == "busy":
+            # the bursty shape: a new d (and so a register commit) on
+            # every rising edge of a long run, the counter enabled
+            _kind, length, start, callback = action
+            d = [(k, "d", (start + 3 * k) % 16) for k in range(length)]
+            self.act(("edges", [(0, "en", "1")] + d, 0, callback),
+                     keep_off_edges)
         elif kind == "timed":
             self.drive_later(*action[1:], keep_off_edges)
         elif kind == "chaser":
@@ -171,14 +206,12 @@ class Bench:
     def finish(self):
         if self.vcd is not None:
             self.vcd.close()
-        clk = self.clk
         return {
             "now": self.sim.now,
             "log": self.log,
             "counters": self.counters(),
-            "clk": (clk.value, clk.previous, clk.change_count,
-                    clk.last_event_time, clk.event),
-            "values": tuple(s.value for s in self.outputs),
+            "signals": self.signals(),
+            "stamps": (self.stamp_log, self.stamps()),
             "vcd": (self.vcd.path.read_text()
                     if self.vcd is not None else None),
         }
@@ -209,8 +242,10 @@ def assert_indistinguishable(scenario, directory):
     # against the event-driven clock
     cycle = replay("cycle", scenario, directory, keep_off_edges=True)
     cycle.pop("engine")
-    assert cycle == replay("event", scenario, directory,
-                           keep_off_edges=True)
+    cycle.pop("stamps")
+    event = replay("event", scenario, directory, keep_off_edges=True)
+    event.pop("stamps")
+    assert cycle == event
 
 
 SIGNAL_VALUES = st.one_of(
@@ -237,10 +272,20 @@ def scenarios(draw):
         # on the rising edges, or shifted off them in a third
         st.one_of(st.just(0), st.just(0), st.integers(1, period - 1)),
         st.sampled_from(["none", "hook", "timed", "waiter"]))
+    callbacks = st.sampled_from(["none", "none", "hook", "timed", "waiter"])
+    pair = st.tuples(
+        st.just("pair"),
+        st.lists(st.tuples(st.integers(0, 3), SIGNAL_VALUES, SIGNAL_VALUES),
+                 min_size=1, max_size=4).map(
+            lambda items: sorted(items, key=lambda i: i[0])),
+        callbacks)
+    busy = st.tuples(st.just("busy"), st.integers(4, 24), st.integers(0, 15),
+                     callbacks)
     action = st.one_of(
         st.just(("none",)),
         st.tuples(st.just("wave"), transitions),
         edges, edges,      # batches inside a stretch: drawn twice as often
+        pair, busy,
         st.tuples(st.just("timed"), SIGNAL_VALUES,
                   st.integers(1, span)).map(
                       lambda t: ("timed", t[1][0], t[1][1], t[2])),
@@ -317,12 +362,40 @@ REGRESSIONS = {
         (("edges", [(0, "d", 3), (1, "en", "1")], 0, "timed"), 60)], 1),
     "callback-parks-a-clock-waiter": (10, 5, "unread", False, [
         (("edges", [(0, "d", 3), (1, "en", "1")], 0, "waiter"), 60)], 1),
+    # two streams due on the same rising edges, one onto a read signal
+    "two-streams-on-the-same-edges": (10, 5, "unread", False, [
+        (("pair", [(0, ("d", 3), ("en", "1")), (1, ("d", 5), ("d", 6)),
+                   (3, ("en", "0"), ("obs", 4))], "none"), 60)], 1),
+    # the bursty shape: a batch and a commit on every rising edge
+    "busy-run-unread": (6, 2, "unread", False, [
+        (("busy", 20, 1, "none"), 50), (("none",), 100)], 1),
+    "busy-run-read-by-a-process": (6, 2, True, False, [
+        (("busy", 8, 7, "timed"), 70)], 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSIONS))
 def test_quiet_stretch_regressions(name, tmp_path):
     assert_indistinguishable(REGRESSIONS[name], tmp_path)
+
+
+def test_busy_edges_count_commits_and_absorbed_batches():
+    """``busy_edges`` counts the edges inside a stretch that committed
+    or absorbed a batch: a new d on rising edges 0-4 is absorbed there,
+    and the register commits it on edges 1-5."""
+    sim = Simulator()
+    clk = sim.signal("clk", init="0")
+    engine = CycleEngine(sim, clk, period=10)
+    d = sim.signal("d", width=4, init=0)
+    reg = Register(sim, "reg", clk, d)
+    rise = sim.next_rising_edge(clk)
+    sim.schedule_waveform([(rise + 10 * k, d, k + 1) for k in range(5)],
+                          start=0)
+    sim.run(until=200)
+    assert reg.q.as_int() == 5
+    stats = engine.stats_snapshot()
+    assert (stats["busy_edges"], stats["batches_absorbed"],
+            stats["stretches"], stats["general_edges"]) == (6, 5, 1, 0)
 
 
 def test_an_evaluation_that_raises_leaves_the_clock_consistent():

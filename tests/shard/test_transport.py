@@ -15,7 +15,7 @@ from repro.shard.transport import (PipeTransport, ShmRingTransport,
                                    SocketTransport, TransportClosed,
                                    TransportError, accept_transport,
                                    connect_transport, open_listener,
-                                   shm_ring_pair)
+                                   _Ring, shm_ring_pair)
 
 
 def _socket_pair():
@@ -326,6 +326,65 @@ def test_shm_peer_death_mid_window_raises():
         coordinator.recv()
     coordinator.close()
     worker.close()
+
+
+@pytest.mark.parametrize("counter", ["_head", "_tail"])
+def test_shm_torn_counter_read_is_read_again(monkeypatch, counter):
+    """A ring counter read while the peer stores it can come back torn
+    and out of range: a stale head gives the reader a negative span, a
+    tail ahead of the head gives the writer more free space than the
+    ring has.  The ring reads the counter again, and the frames arrive
+    intact."""
+    coordinator, descriptor = shm_ring_pair(capacity=256)
+    worker = ShmRingTransport.attach(descriptor)
+    coordinator.peer_alive = None
+    worker.peer_alive = None
+    ring, torn = ((worker._in, lambda value: 0) if counter == "_head"
+                  else (coordinator._out, lambda value: value + (1 << 40)))
+    original = getattr(_Ring, counter)
+    reads = []
+
+    def read_counter(self):
+        value = original(self)
+        if self is ring:
+            reads.append(value)
+            if len(reads) == 1:
+                return torn(value)
+        return value
+
+    small = ("finish", 1e-3)
+    batch = OpBatch()
+    for i in range(8):                       # about 500 octets > 256
+        batch.add_cell(i * 1e-6, i % 4, bytes(range(53)))
+    received = []
+
+    def drain():
+        try:
+            received.append(worker.recv())
+            received.append(worker.recv())
+        except Exception as exc:             # reported by the asserts
+            received.append(exc)
+
+    try:
+        coordinator.send(small)              # both counters move off 0
+        assert worker.recv() == small
+        coordinator.send(small)              # left unread in the ring
+        monkeypatch.setattr(_Ring, counter, read_counter)
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        coordinator.peer_alive = thread.is_alive    # no hang if it dies
+        coordinator.send(("ops", (5, batch)))
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(reads) > 1                # read again after the torn one
+        assert received[0] == small
+        kind, (seq, packed) = received[1]
+        assert (kind, seq) == ("ops", 5)
+        assert packed.ops() == batch.packed().ops()
+    finally:
+        monkeypatch.undo()
+        coordinator.close()
+        worker.close()
 
 
 def test_shm_rejects_pickled_bytes():
