@@ -9,10 +9,7 @@ Small operational conveniences for exploring the reproduction:
 * ``stats`` — run the observed E1 scenario and report the
   co-simulation metrics (sync windows, null messages, lag histogram,
   kernel counters, per-cell and per-hop latency), exporting JSON
-  to ``--json PATH``; ``stats --service
-  HOST:PORT`` instead dials a running job service and prints its live
-  STATS introspection (queue depth, per-worker counters, merged
-  completed-job telemetry);
+  to ``--json PATH``;
 * ``trace run`` — run the observed E1 scenario with full causal
   tracing and write the JSONL decision trace (optionally a
   Chrome/Perfetto trace too);
@@ -33,12 +30,7 @@ Small operational conveniences for exploring the reproduction:
   modelled results and op count; ``--observe`` and
   ``--trace-dir`` turn on distributed telemetry — coordinator-stamped
   trace ids, per-shard span streams, merged coverage counters (see
-  ``docs/api/shard.md``);
-* ``serve`` — start the persistent scenario job service: a worker
-  pool that outlives individual jobs (sharing compiled cell
-  templates across them) behind a JSON-lines TCP endpoint;
-  ``serve --status HOST:PORT`` dials a running service and prints
-  its live STATS introspection instead of binding.
+  ``docs/api/shard.md``).
 """
 
 from __future__ import annotations
@@ -64,7 +56,7 @@ _SUBPACKAGES = [
     ("core", "CASTANET: coupling, sync protocol, interfaces, compare"),
     ("obs", "observability: metrics registry, decision traces"),
     ("sweep", "parallel scenario-matrix sweep runner"),
-    ("shard", "sharded multi-switch topologies + job service"),
+    ("shard", "sharded multi-switch topologies"),
     ("analysis", "result collection and report rendering"),
 ]
 
@@ -206,76 +198,7 @@ def _print_hop_table(histograms: Dict[str, Dict[str, object]]) -> None:
               f"{_format_seconds(hist['max']):>9}")
 
 
-def _parse_endpoint(value: str) -> tuple:
-    """Parse a ``HOST:PORT`` CLI value (host defaults to loopback)."""
-    host, _, port = value.rpartition(":")
-    return (host or "127.0.0.1", int(port))
-
-
-def _print_service_stats(stats: Dict[str, object]) -> None:
-    """Render one STATS introspection payload from a running job
-    service (the ``{"op": "stats"}`` reply)."""
-    running = stats["running"]
-    suffix = f" ({', '.join(running)})" if running else ""
-    print(f"service: queue depth {stats['queue_depth']}, "
-          f"{len(running)} running job(s){suffix}")
-    service = stats["service"]
-    print(f"  jobs: {service['submitted']} submitted, "
-          f"{service['completed']} done, "
-          f"{service['errors']} error(s), "
-          f"{service['crashes']} crash(es), "
-          f"{service['timeouts']} timeout(s), "
-          f"{service['retries']} retried")
-    for worker in stats["workers"]:
-        counters = worker["counters"]
-        state = ("busy" if worker["busy"]
-                 else "idle" if worker["alive"] else "dead")
-        job = f" on {worker['job']}" if worker["job"] else ""
-        print(f"  {worker['name']:<10} {state}{job} — "
-              f"{counters['jobs']} job(s) ({counters['ok']} ok, "
-              f"{counters['errors']} error(s)), "
-              f"{counters['crashes']} crash(es), "
-              f"{counters['timeouts']} timeout(s), "
-              f"{counters['retries']} retried")
-    telemetry = stats["telemetry"]
-    print(f"  telemetry: {telemetry['jobs']} completed job(s), "
-          f"{telemetry['trace_records']} trace record(s)")
-    if telemetry.get("latency"):
-        _print_histogram("ingress latency (merged)",
-                         telemetry["latency"])
-    sync = telemetry.get("sync") or {}
-    if sync:
-        print(f"  sync (merged): {sync.get('messages_posted', 0)} "
-              f"posts, {sync.get('null_messages', 0)} nulls, "
-              f"{sync.get('windows_granted', 0)} windows")
-    provenance = telemetry.get("provenance")
-    if provenance:
-        print(f"  provenance (merged): "
-              f"{provenance.get('cells_sampled', 0)}"
-              f"/{provenance.get('cells_seen', 0)} cells, "
-              f"{provenance.get('spans_recorded', 0)} spans")
-
-
-def _service_stats(endpoint: str) -> int:
-    """Dial a running job service and print its STATS payload."""
-    from repro.shard import ServeClient
-
-    try:
-        with ServeClient(_parse_endpoint(endpoint)) as client:
-            payload = client.stats()
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"cannot reach service at {endpoint}: {exc}",
-              file=sys.stderr)
-        return 2
-    _print_service_stats(payload)
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.service:
-        # Live introspection of a running job service — no scenario
-        # run, no JSON report.
-        return _service_stats(args.service)
     # Lazy import: the scenario pulls in the whole stack, and
     # repro.obs deliberately does not import it (repro.core imports
     # repro.obs — the reverse edge would be circular).
@@ -643,41 +566,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0 if matched else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.status:
-        # Dial a running service instead of binding one.
-        return _service_stats(args.status)
-    # Lazy import — the service spawns the sweep scenario workers.
-    from repro.shard import JobService
-
-    try:
-        service = JobService(jobs=args.jobs, timeout_s=args.timeout,
-                             host=args.host, port=args.port)
-        service.start()
-    except (ValueError, OSError) as exc:
-        print(f"cannot start job service: {exc}", file=sys.stderr)
-        return 2
-    host, port = service.address
-    print(f"serve: listening on {host}:{port} — {service.jobs} "
-          f"persistent worker(s), {service.timeout_s:g} s/job budget",
-          flush=True)
-    print("serve: submit JSON-lines requests "
-          "({\"op\": \"submit\", \"run\": {...}}); "
-          "{\"op\": \"shutdown\"} stops the service", flush=True)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.shutdown()
-    stats = service.stats
-    print(f"serve: shut down after {stats['submitted']} job(s) "
-          f"({stats['completed']} done, {stats['errors']} error(s), "
-          f"{stats['crashes']} crash(es), "
-          f"{stats['timeouts']} timeout(s))")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -719,10 +607,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.add_argument("--profile", action="store_true",
                        help="attach wall-clock profiling spans to "
                             "the kernel hot paths")
-    stats.add_argument("--service", default=None, metavar="HOST:PORT",
-                       help="dial a running 'serve' job service and "
-                            "print its live STATS introspection "
-                            "instead of running the scenario")
     stats.set_defaults(fn=_cmd_stats)
     trace = commands.add_parser(
         "trace",
@@ -869,25 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     shard.add_argument("--json", default=None,
                        help="report JSON output path (default: none)")
     shard.set_defaults(fn=_cmd_shard)
-    serve = commands.add_parser(
-        "serve",
-        help="start the persistent scenario job service (JSON-lines "
-             "TCP endpoint over a long-lived worker pool)")
-    serve.add_argument("--jobs", type=int, default=2,
-                       help="persistent worker processes (default 2)")
-    serve.add_argument("--timeout", type=float, default=120.0,
-                       help="per-job wall-clock budget in seconds "
-                            "(default 120)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="bind port (default 0 = ephemeral, "
-                            "printed on startup)")
-    serve.add_argument("--status", default=None, metavar="HOST:PORT",
-                       help="dial a running service and print its "
-                            "live STATS introspection instead of "
-                            "binding")
-    serve.set_defaults(fn=_cmd_serve)
     args = parser.parse_args(argv)
     if not getattr(args, "fn", None):
         parser.print_help()

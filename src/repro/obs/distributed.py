@@ -1,10 +1,10 @@
 """Per-process telemetry payloads for distributed co-simulation.
 
-PRs 8–9 made the reproduction multi-process (shard workers over
-pipe/socket/shm, the ``serve`` job service) while the ``repro.obs``
-layer stayed strictly per-process — a sharded run was a telemetry
-black hole.  This module defines the **shard telemetry payload**: one
-plain-data dict per worker process carrying everything observability
+Shard workers over pipe/socket/shm make the reproduction
+multi-process, while the ``repro.obs`` layer is strictly per-process —
+without a shipped payload a sharded run is a telemetry black hole.
+This module defines the **shard telemetry payload**: one plain-data
+dict per worker process carrying everything observability
 knows about that process, shippable over the shard wire's tag codec
 (:mod:`repro.shard.codec`) with no pickles:
 

@@ -7,9 +7,7 @@ unit — the hardware side of the paper's co-verification case studies.
 
 from .accounting_unit import AccountingUnitRtl, RECORD_WORDS
 from .cell_stream import (CELL_OCTETS, CellReceiver, CellSender,
-                          CellStreamPort, clear_shared_templates,
-                          enable_shared_templates,
-                          shared_template_stats)
+                          CellStreamPort)
 from .component import Component
 from .control_unit import GlobalControlUnitRtl, LookupClient
 from .fifo import SyncFifo
@@ -27,8 +25,6 @@ from .registers import Counter, Register
 __all__ = [
     "AccountingUnitRtl", "RECORD_WORDS",
     "CELL_OCTETS", "CellReceiver", "CellSender", "CellStreamPort",
-    "enable_shared_templates", "clear_shared_templates",
-    "shared_template_stats",
     "Component",
     "GlobalControlUnitRtl", "LookupClient",
     "SyncFifo",

@@ -34,55 +34,9 @@ from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .component import Component
 
-__all__ = ["CellStreamPort", "CellSender", "CellReceiver", "CELL_OCTETS",
-           "enable_shared_templates", "shared_template_stats",
-           "clear_shared_templates"]
+__all__ = ["CellStreamPort", "CellSender", "CellReceiver", "CELL_OCTETS"]
 
 CELL_OCTETS = 53
-
-# ----------------------------------------------------------------------
-# Shared compiled-cell-template cache (cross-sender, cross-run)
-# ----------------------------------------------------------------------
-# A compiled template binds Signal objects, so per-instance caches die
-# with their sender.  The shared cache stores templates *symbolically*
-# (signal index instead of Signal: 0=atmdata, 1=cellsync, 2=valid) so a
-# long-lived process — the `repro serve` job-service workers — carries
-# the compilation work of one job into the next and across senders.
-# Off by default: single-run processes gain nothing from the extra
-# publish step.
-_SHARED_ENABLED = False
-_SHARED_LIMIT = 4096
-_SHARED_TEMPLATES: dict = {}
-_SHARED_STATS = {"hits": 0, "misses": 0}
-
-
-def enable_shared_templates(enabled: bool = True) -> None:
-    """Turn the process-wide shared template cache on (or off).
-
-    Intended for long-lived processes serving many runs (the
-    ``repro serve`` workers enable it at startup); the per-sender
-    cache keeps working either way.
-    """
-    global _SHARED_ENABLED
-    _SHARED_ENABLED = enabled
-
-
-def clear_shared_templates() -> None:
-    """Drop every shared template and reset the hit/miss counters."""
-    _SHARED_TEMPLATES.clear()
-    _SHARED_STATS["hits"] = 0
-    _SHARED_STATS["misses"] = 0
-
-
-def shared_template_stats() -> dict:
-    """Counters of the shared cache: ``enabled``, ``entries``,
-    ``hits`` (a sender bound an already-published template) and
-    ``misses`` (a template had to be compiled and was published)."""
-    return {"enabled": _SHARED_ENABLED,
-            "entries": len(_SHARED_TEMPLATES),
-            "hits": _SHARED_STATS["hits"],
-            "misses": _SHARED_STATS["misses"]}
-
 
 class CellStreamPort:
     """The signal bundle of one octet-serial cell interface."""
@@ -231,10 +185,7 @@ class CellSender(Component):
         template = self._template_cache.get(key)
         if template is None:
             self.template_misses += 1
-            template = self._adopt_shared(octets, gap0, period)
-            if template is None:
-                template = self._compile_template(octets, gap0, period)
-                self._publish_shared(octets, gap0, period, template)
+            template = self._compile_template(octets, gap0, period)
             self._template_cache[key] = template
         else:
             self.template_hits += 1
@@ -280,39 +231,6 @@ class CellSender(Component):
         trailer_offset = gap0 + (len(octets) - 1) * period
         transitions.append((trailer_offset, valid, "0"))
         return transitions, trailer_offset
-
-    def _adopt_shared(self, octets: Tuple[int, ...], gap0: int,
-                      period: int) -> Optional[Tuple[List[tuple], int]]:
-        """Bind a shared symbolic template to this sender's signals;
-        None when the shared cache is off or has no entry."""
-        if not _SHARED_ENABLED:
-            return None
-        entry = _SHARED_TEMPLATES.get((octets, gap0, period))
-        if entry is None:
-            _SHARED_STATS["misses"] += 1
-            return None
-        _SHARED_STATS["hits"] += 1
-        symbolic, trailer_offset = entry
-        signals = (self.port.atmdata, self.port.cellsync,
-                   self.port.valid)
-        return ([(offset, signals[index], value)
-                 for offset, index, value in symbolic], trailer_offset)
-
-    def _publish_shared(self, octets: Tuple[int, ...], gap0: int,
-                        period: int,
-                        template: Tuple[List[tuple], int]) -> None:
-        """Store a freshly compiled template in signal-index form so
-        any sender (in this process) can adopt it later."""
-        if not _SHARED_ENABLED or len(_SHARED_TEMPLATES) >= _SHARED_LIMIT:
-            return
-        transitions, trailer_offset = template
-        index_of = {id(self.port.atmdata): 0,
-                    id(self.port.cellsync): 1,
-                    id(self.port.valid): 2}
-        symbolic = [(offset, index_of[id(signal)], value)
-                    for offset, signal, value in transitions]
-        _SHARED_TEMPLATES[(octets, gap0, period)] = (symbolic,
-                                                     trailer_offset)
 
     def _cell_done(self) -> None:
         """Waveform completion hook: the cell's last octet has been

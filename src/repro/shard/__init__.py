@@ -1,10 +1,8 @@
-"""Sharded multi-switch co-simulation and the scenario job service.
+"""Sharded multi-switch co-simulation.
 
 This package scales the paper's one-netsim/one-HDL-kernel coupling to
 *N DUT shards in N processes*, coupled by the existing conservative
-protocol carried over pipes or sockets, plus a persistent job service
-(``python -m repro serve``) that turns the one-shot sweep runner into
-a long-lived scenario server.
+protocol carried over pipes, sockets or shared memory.
 
 Layers (bottom up):
 
@@ -32,11 +30,9 @@ Layers (bottom up):
 * :mod:`~repro.shard.topology` — :class:`TopologySpec` (TOML/JSON),
   :class:`ShardedTopology` (the process fleet) and
   :func:`run_topology` (the mode-agnostic windowed driver).
-* :mod:`~repro.shard.service` — :class:`JobService` /
-  :class:`ServeClient`, the persistent job service.
 
 See ``docs/api/shard.md`` for the reference page and
-``docs/architecture.md`` ("Sharded topologies and the job service")
+``docs/architecture.md`` ("Sharded topologies")
 for the design walk-through.
 """
 
@@ -45,7 +41,6 @@ from .codec import (CodecError, OpBatch, OutputBatch, PackedOps,
                     PackedOutputs, decode_frame, encode_frame)
 from .group import ShardGroup
 from .protocol import ShardError
-from .service import JobService, ServeClient
 from .topology import (MODES, ShardedTopology, ShardSpec,
                        ShardSpecError, TopologySpec, TRANSPORTS,
                        run_topology)
@@ -61,7 +56,6 @@ __all__ = [
     "CodecError", "OpBatch", "PackedOps",
     "OutputBatch", "PackedOutputs",
     "encode_frame", "decode_frame",
-    "JobService", "ServeClient",
     "ShardSpec", "TopologySpec", "ShardSpecError", "ShardedTopology",
     "run_topology", "TRANSPORTS", "MODES",
     "Transport", "PipeTransport", "SocketTransport",

@@ -324,6 +324,25 @@ class TopologySpec:
         return cls.from_mapping(data)
 
 
+def _await_hello(handle: ShardHandle,
+                 expected: Optional[str] = None) -> str:
+    """Wait for a worker's ready frame; returns the shard id it names.
+
+    The wait goes through :meth:`ShardHandle._recv`, so a worker that
+    dies before its hello raises :class:`ShardError` on every
+    transport, like any other exchange.
+    """
+    kind, shard_id = handle._recv()
+    if kind != protocol.FRAME_HELLO or expected not in (None, shard_id):
+        raise protocol.ShardError(
+            handle.shard_id,
+            {"type": "ProtocolError",
+             "message": f"expected hello from {expected or 'a shard'}, "
+                        f"got {(kind, shard_id)!r}",
+             "traceback": ""})
+    return shard_id
+
+
 class ShardedTopology:
     """The worker-process fleet of one topology.
 
@@ -358,10 +377,20 @@ class ShardedTopology:
     def start(self) -> List[ShardHandle]:
         """Spawn the fleet; returns one connected
         :class:`~repro.shard.client.ShardHandle` per shard, in spec
-        order."""
+        order.  A shard that fails before its hello raises
+        :class:`~repro.shard.protocol.ShardError` after the whole
+        fleet has been torn down."""
         if self._started:
             return self.handles
         self._started = True
+        try:
+            self._spawn()
+        except BaseException:
+            self.close()
+            raise
+        return self.handles
+
+    def _spawn(self) -> None:
         ctx = start_context()
         spec = self.spec
         if spec.transport == "pipe":
@@ -405,43 +434,29 @@ class ShardedTopology:
                     name=f"shard-{shard.id}", daemon=True)
                 process.start()
                 self._processes.append(process)
-            # Accept order is connect order, not spec order: map the
-            # connections back through their hello frames.
-            by_id: Dict[str, Any] = {}
+            # Accept order is connect order, not spec order: hold the
+            # connections under a placeholder id (so a failed hello
+            # still closes them) and map them back through their
+            # hello frames.
             for _ in spec.shards:
-                transport = accept_transport(self._listener)
-                kind, shard_id = transport.recv()
-                if kind != protocol.FRAME_HELLO:
-                    raise protocol.ShardError(
-                        "?", {"type": "ProtocolError",
-                              "message": f"expected hello, got "
-                                         f"{kind!r}",
-                              "traceback": ""})
-                by_id[shard_id] = transport
-            for shard, process in zip(spec.shards, self._processes):
                 self.handles.append(ShardHandle(
-                    shard.id, by_id[shard.id],
-                    num_ports=shard.num_ports,
-                    max_batch=spec.max_batch,
-                    max_inflight=spec.max_inflight, process=process))
-        if spec.transport != "socket":
-            # Pipe/shm couplings know their shard a priori; the hello
-            # is purely the ready signal — wait for it here so group
-            # construction and the worker's first-touch page faults
-            # count as startup, not driving time (the accept loop
-            # above already did this implicitly for sockets).
-            for handle in self.handles:
-                kind, shard_id = handle._recv()
-                if kind != protocol.FRAME_HELLO or \
-                        shard_id != handle.shard_id:
-                    raise protocol.ShardError(
-                        handle.shard_id,
-                        {"type": "ProtocolError",
-                         "message": f"expected hello from "
-                                    f"{handle.shard_id!r}, got "
-                                    f"{(kind, shard_id)!r}",
-                         "traceback": ""})
-        return self.handles
+                    "?", accept_transport(self._listener)))
+            by_id = {_await_hello(handle): handle.transport
+                     for handle in self.handles}
+            self.handles = [
+                ShardHandle(shard.id, by_id[shard.id],
+                            num_ports=shard.num_ports,
+                            max_batch=spec.max_batch,
+                            max_inflight=spec.max_inflight,
+                            process=process)
+                for shard, process in zip(spec.shards, self._processes)]
+            return
+        # Pipe/shm couplings know their shard a priori; the hello is
+        # purely the ready signal — wait for it here so group
+        # construction and the worker's first-touch page faults count
+        # as startup, not driving time.
+        for handle in self.handles:
+            _await_hello(handle, handle.shard_id)
 
     def close(self) -> None:
         """Close every handle, reap every process (idempotent)."""

@@ -602,8 +602,7 @@ def open_listener(host: str = "127.0.0.1",
     """Open a listening TCP socket; returns ``(listener, address)``.
 
     ``port=0`` binds an ephemeral port — the returned address is what
-    shard workers (or :class:`~repro.shard.service.ServeClient`)
-    connect to.
+    shard workers connect to.
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

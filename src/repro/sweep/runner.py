@@ -44,9 +44,9 @@ MAX_ATTEMPTS = 2
 
 
 def start_context():
-    """The multiprocessing context of every worker pool (sweep, shard
-    topology, job service): fork where the platform offers it (fast —
-    no re-import), else spawn."""
+    """The multiprocessing context of both worker pools (sweep and
+    shard topology): fork where the platform offers it (fast — no
+    re-import), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")

@@ -253,3 +253,31 @@ def test_trace_dir_stamps_shard_id(tmp_path):
                    for line in path.read_text().splitlines()]
         assert records, "trace is empty"
         assert all(r.get("shard") == shard_id for r in records)
+
+
+@pytest.mark.parametrize("transport", ["pipe", "socket", "shm"])
+def test_pre_hello_death_raises_and_reaps(transport, monkeypatch):
+    """A worker that dies while building its group (before its hello)
+    must surface as a ShardError and take the rest of the fleet with
+    it: no shard process outlives the failed start."""
+    import multiprocessing
+
+    from repro.shard import worker
+    from repro.sweep.runner import start_context
+
+    if start_context().get_start_method() != "fork":
+        pytest.skip("the build_group patch reaches workers only by fork")
+    real_build_group = worker.build_group
+
+    def failing_build_group(config):
+        if config["id"] == "shard1":
+            raise RuntimeError("shard1 cannot build its group")
+        return real_build_group(config)
+
+    monkeypatch.setattr(worker, "build_group", failing_build_group)
+    with pytest.raises(ShardError):
+        run_topology(TopologySpec(cells=8, transport=transport, **BEHAV2),
+                     mode="sharded")
+    leftover = [p.name for p in multiprocessing.active_children()
+                if p.name.startswith("shard-")]
+    assert leftover == []

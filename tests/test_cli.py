@@ -258,42 +258,3 @@ def test_shard_rejects_bad_topology(capsys):
     assert "invalid topology" in capsys.readouterr().err
     assert main(["shard", "--shards", "0"]) == 2
 
-
-def test_serve_cli_end_to_end():
-    """The serve subcommand over a real subprocess: parse the bound
-    address from the banner, run one job, request shutdown."""
-    import os
-    import re
-    import subprocess
-    import sys as _sys
-
-    from repro.shard import ServeClient
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [_sys.executable, "-m", "repro", "serve", "--jobs", "1"],
-        stdout=subprocess.PIPE, text=True, env=env)
-    try:
-        banner = proc.stdout.readline()
-        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-        assert match, f"no address in banner: {banner!r}"
-        address = (match.group(1), int(match.group(2)))
-        with ServeClient(address) as client:
-            job_id = client.submit(
-                {"name": "cli-smoke", "traffic": "cbr", "ports": 2,
-                 "seed": 0, "sync": "conservative", "level": "behav",
-                 "cells": 8, "load": 0.25})
-            record = client.result(job_id, wait=True, timeout=60)
-            assert record["status"] == "done"
-            assert record["result"]["passed"]
-            client.shutdown()
-        out, _ = proc.communicate(timeout=30)
-        assert proc.returncode == 0
-        assert "shut down after 1 job(s)" in out
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()

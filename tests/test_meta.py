@@ -53,6 +53,17 @@ def test_no_page_cites_a_bench_json_artifact():
         assert not found, f"{page.relative_to(ROOT)} cites {found}"
 
 
+def test_no_page_mentions_the_deleted_job_service():
+    """The job service and the shared template cache only it used are
+    gone; no page or source file may still describe them."""
+    stale = re.compile(r"repro serve|JobService|ServeClient|"
+                       r"stats --service|shared_template")
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    for page in DOC_PAGES + sources:
+        found = stale.findall(page.read_text())
+        assert not found, f"{page.relative_to(ROOT)} mentions {found}"
+
+
 def test_e1_table_has_event_backend_and_behavioural_rows(
         tmp_path, monkeypatch):
     """The E1 experiment is the one producer of the paper's table:
