@@ -23,9 +23,9 @@ land in the 2-10x band around the paper's 4.3x.
 import time
 
 from repro.analysis import ExperimentResult, format_table
+from repro.scenario import ScenarioSpec, build_scenario, run_scenario
 
-from .common import (build_cosim_accounting, build_pure_rtl_system,
-                     run_cosim_accounting, save_table, scaled)
+from .common import build_pure_rtl_system, save_table, scaled
 
 CELLS = scaled(160)
 
@@ -41,8 +41,9 @@ def _timed(run):
 
 def _measure_cosim(cells, level="rtl"):
     # observability off: the RTL bench it is compared with has none
-    built = build_cosim_accounting(cells, observe=False, level=level)
-    return _timed(lambda: run_cosim_accounting(*built))
+    scenario = build_scenario(ScenarioSpec(cells=cells, level=level,
+                                           observe=False))
+    return _timed(lambda: run_scenario(scenario))
 
 
 def _measure_pure_rtl(cells, rtl_backend=None):
@@ -108,9 +109,7 @@ def test_e1_cosim_faster_than_pure_rtl(benchmark):
 
     # pytest-benchmark timing of the co-simulation path
     def run_once():
-        env, dut, entity, reference = build_cosim_accounting(
-            max(8, CELLS // 4))
-        run_cosim_accounting(env, dut, entity, reference)
+        run_scenario(build_scenario(ScenarioSpec(cells=max(8, CELLS // 4))))
 
     benchmark.pedantic(run_once, rounds=1, iterations=1)
 
@@ -118,19 +117,10 @@ def test_e1_cosim_faster_than_pure_rtl(benchmark):
 def test_e1_functional_equivalence_maintained(benchmark):
     """Throughput means nothing if the co-simulated DUT diverges: the
     records produced through the coupling must match the reference."""
-    from repro.core import StreamComparator
-    from .common import (collect_rtl_records, group_records,
-                         reference_records)
-
     def run_once():
-        env, dut, entity, reference = build_cosim_accounting(
-            max(16, CELLS // 4))
-        words = collect_rtl_records(env.hdl, env.clk, dut)
-        run_cosim_accounting(env, dut, entity, reference)
-        comparator = StreamComparator("e1", normalize="sorted")
-        comparator.extend_reference(reference_records(reference))
-        comparator.extend_observed(group_records(words))
-        report = comparator.compare()
+        scenario = build_scenario(ScenarioSpec(cells=max(16, CELLS // 4)))
+        run_scenario(scenario)
+        report = scenario.compare("e1")
         assert report.passed, report.summary()
         return report
 

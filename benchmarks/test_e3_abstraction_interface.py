@@ -19,9 +19,9 @@ from repro.atm import AtmCell
 from repro.core import CellMapper, TimeBase
 from repro.hdl import Simulator
 from repro.rtl import CellReceiver, CellSender
+from repro.scenario import ScenarioSpec, build_scenario, run_scenario
 
-from .common import (build_cosim_accounting, run_cosim_accounting, save_table,
-                     scaled)
+from .common import save_table, scaled
 
 CELLS = scaled(60)
 
@@ -98,8 +98,9 @@ def test_e3_event_count_gap(benchmark):
     """The conclusions' observation: HDL event counts dominate."""
 
     def run_once():
-        env, dut, entity, reference = build_cosim_accounting(CELLS)
-        stats = run_cosim_accounting(env, dut, entity, reference)
+        scenario = build_scenario(ScenarioSpec(cells=CELLS))
+        stats = run_scenario(scenario)
+        env = scenario.env
         return EventAccounting(
             netsim_events=stats["netsim_events"],
             hdl_events=stats["hdl_events"],

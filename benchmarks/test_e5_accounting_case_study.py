@@ -16,19 +16,21 @@ bugs are caught through both paths.  This is the paper's core promise:
 the test bench is authored once, at the highest abstraction level.
 """
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.analysis import ExperimentResult, format_table
 from repro.atm import AccountingUnit, AtmCell, Tariff
+from repro.behav import build_dut
 from repro.board import HardwareTestBoard, RtlPinDevice
-from repro.core import (BoardInterfaceModel, StreamComparator,
-                        cell_stream_pin_config)
+from repro.core import (BoardInterfaceModel, CoVerificationEnvironment,
+                        StreamComparator, cell_stream_pin_config)
 from repro.hdl import Simulator
 from repro.rtl import AccountingUnitRtl
 from repro.traffic import OnOffSource, PoissonArrivals
 
-from .common import (CELL_TIME, TIMEBASE, collect_rtl_records, group_records,
-                     reference_records, save_table, scaled)
+from .common import CELL_TIME, TIMEBASE, save_table, scaled
 
 CELLS = scaled(60)
 
@@ -83,22 +85,20 @@ def reference_run(workload):
     records = []
     for index, (_t, cell) in enumerate(workload):
         if index == split:
-            records.extend(reference_records(reference))
+            records.extend(reference.close_interval())
         reference.cell_arrival(cell.vpi, cell.vci, clp=cell.clp)
-    records.extend(reference_records(reference))
-    return records
+    records.extend(reference.close_interval())
+    return [astuple(record) for record in records]
 
 
 def cosim_run(workload, bug=None):
     """Path (b): RTL through the CASTANET coupling."""
-    from repro.core import CoVerificationEnvironment
     env = CoVerificationEnvironment(timebase=TIMEBASE)
-    dut = AccountingUnitRtl(env.hdl, "acct", env.clk, bug=bug)
+    dut = build_dut(env, "accounting", name="acct", level="rtl", bug=bug)
     for vpi, vci, upc, upc1, fixed in CONNECTIONS:
-        dut.register(vpi, vci, units_per_cell=upc,
-                     units_per_cell_clp1=upc1, fixed_units=fixed)
-    entity = env.add_dut(rx_port=dut.rx, tick_signal=dut.tariff_tick)
-    words = collect_rtl_records(env.hdl, env.clk, dut)
+        dut.design.register(vpi, vci, units_per_cell=upc,
+                            units_per_cell_clp1=upc1, fixed_units=fixed)
+    entity = dut.entity
     split = len(workload) // 2
     for index, (t, cell) in enumerate(workload):
         if index == split:
@@ -110,7 +110,7 @@ def cosim_run(workload, bug=None):
     entity.send_tariff_tick(last + 2 * CELL_TIME)
     entity.finish(last + 3 * CELL_TIME)
     env.hdl.run(until=env.hdl.now + 64 * TIMEBASE.clock_period_ticks)
-    return group_records(words)
+    return dut.records()
 
 
 def board_run(workload, bug=None):

@@ -16,11 +16,12 @@ realistic bug.
 Run:  python examples/accounting_coverification.py
 """
 
+from dataclasses import astuple
+
 from repro.atm import AccountingUnit, AtmCell, Tariff
 from repro.core import (CoVerificationEnvironment, StreamComparator,
                         TimeBase)
-from repro.hdl import RisingEdge
-from repro.rtl import AccountingUnitRtl, RECORD_WORDS
+from repro.rtl import AccountingUnitRtl, RecordBusMonitor
 from repro.traffic import OnOffSource, PoissonArrivals
 
 TIMEBASE = TimeBase.for_line_rate()
@@ -71,8 +72,7 @@ def run_reference(workload):
             records.extend(reference.close_interval())
         reference.cell_arrival(cell.vpi, cell.vci, clp=cell.clp)
     records.extend(reference.close_interval())
-    return [(r.vpi, r.vci, r.interval, r.cells_clp0, r.cells_clp1,
-             r.charge_units) for r in records]
+    return [astuple(record) for record in records]
 
 
 def run_rtl(workload, bug=None):
@@ -82,16 +82,7 @@ def run_rtl(workload, bug=None):
         dut.register(vpi, vci, units_per_cell=upc,
                      units_per_cell_clp1=upc1, fixed_units=fixed)
     entity = env.add_dut(rx_port=dut.rx, tick_signal=dut.tariff_tick)
-
-    words = []
-
-    def monitor():
-        while True:
-            yield RisingEdge(env.clk)
-            if dut.rec_valid.value == "1":
-                words.append(dut.rec_word.as_int())
-
-    env.hdl.add_generator("records", monitor())
+    monitor = RecordBusMonitor(env.hdl, "records", env.clk, dut)
 
     split = len(workload) // 2
     for i, (t, cell) in enumerate(workload):
@@ -102,9 +93,7 @@ def run_rtl(workload, bug=None):
     entity.send_tariff_tick(last + 2 * CELL_TIME)
     entity.finish(last + 3 * CELL_TIME)
     env.hdl.run(until=env.hdl.now + 64 * TIMEBASE.clock_period_ticks)
-    return [tuple(words[i:i + RECORD_WORDS])
-            for i in range(0, len(words) - len(words) % RECORD_WORDS,
-                           RECORD_WORDS)]
+    return monitor.records()
 
 
 def compare(expected, observed, label):

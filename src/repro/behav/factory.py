@@ -21,9 +21,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.contract import DutContract
 from ..core.environment import CoVerificationEnvironment
-from ..hdl import RisingEdge
 from ..rtl import (AccountingUnitRtl, AtmPortModuleRtl, AtmSwitchRtl,
-                   RECORD_WORDS, UpcPolicerRtl)
+                   RecordBusMonitor, UpcPolicerRtl)
 from .twins import (AccountingUnitBehav, AtmPortModuleBehav,
                     AtmSwitchBehav, UpcPolicerBehav)
 
@@ -45,7 +44,8 @@ class DutHandle:
             single-port DUT has one; the switch fabric has one per
             port, index == port number).
         records: zero-arg callable returning the accounting DUT's
-            charging records as 6-tuples (empty for other kinds).
+            charging records as 6-tuples (empty for other kinds); at
+            RTL a :class:`~repro.rtl.RecordBusMonitor` captures them.
         decisions: zero-arg callable returning the policer's
             :class:`~repro.rtl.policer.PolicingDecision` list (empty
             for other kinds).
@@ -68,29 +68,6 @@ class DutHandle:
         """The design's counter snapshot — same keys at both levels
         (the shared contract surface the equivalence harness diffs)."""
         return self.design.counters()
-
-
-def _rtl_record_collector(env: CoVerificationEnvironment,
-                          design: AccountingUnitRtl, name: str
-                          ) -> Callable[[], List[Tuple[int, ...]]]:
-    """Attach a record-bus monitor; returns the grouped-records
-    closure."""
-    words: List[int] = []
-
-    def _monitor():
-        while True:
-            yield RisingEdge(env.clk)
-            if design.rec_valid.value == "1":
-                words.append(design.rec_word.as_int())
-
-    env.hdl.add_generator(f"{name}.records", _monitor())
-
-    def _records() -> List[Tuple[int, ...]]:
-        whole = len(words) // RECORD_WORDS
-        return [tuple(words[i * RECORD_WORDS:(i + 1) * RECORD_WORDS])
-                for i in range(whole)]
-
-    return _records
 
 
 def build_dut(env: CoVerificationEnvironment, kind: str,
@@ -144,8 +121,9 @@ def _build_rtl(env: CoVerificationEnvironment, kind: str, name: str,
     design = AccountingUnitRtl(env.hdl, name, env.clk, **config)
     entities = [env.add_dut(rx_port=design.rx,
                             tick_signal=design.tariff_tick)]
+    monitor = RecordBusMonitor(env.hdl, f"{name}.records", env.clk, design)
     return DutHandle("accounting", "rtl", design, entities,
-                     records=_rtl_record_collector(env, design, name))
+                     records=monitor.records)
 
 
 def _build_behav(env: CoVerificationEnvironment, kind: str, name: str,

@@ -271,9 +271,19 @@ class CosimulationEntity(DutContract):
             # level (one observable edge for several ticks).  Each
             # pulse is one period high followed by one period low, so
             # every tick produces a distinct rising edge on the DUT.
+            # A pulse also waits until the cells released before it
+            # have clocked in (``CellSender.drained_at``), so it cannot
+            # overtake them.  A pulse due on the rising edge the kernel
+            # has just evaluated starts one tick later: that edge has
+            # sampled the line already, and the pulse's fall would land
+            # on the next edge before it samples — no edge would see it.
             period = self.timebase.clock_period_ticks
-            start = max(self.hdl.now, self._tick_free)
-            delay = start - self.hdl.now
+            now = self.hdl.now
+            start = max(now, self._tick_free, self.sender.drained_at)
+            if start == now and self.hdl.next_rising_edge(
+                    self.clk, after=now - 1) == now:
+                start += 1
+            delay = start - now
             self.tick_signal.drive("1", delay=delay)
             self.tick_signal.drive("0", delay=delay + period)
             self._tick_free = start + 2 * period

@@ -2,10 +2,12 @@
 
 Registers, FIFOs, HEC circuits, octet-serial cell stream interfaces,
 the switch port module, the global control unit and the accounting
-unit — the hardware side of the paper's co-verification case studies.
+unit with its record-bus monitor — the hardware side of the paper's
+co-verification case studies.
 """
 
-from .accounting_unit import AccountingUnitRtl, RECORD_WORDS
+from .accounting_unit import (AccountingUnitRtl, RECORD_WORDS,
+                              RecordBusMonitor)
 from .cell_stream import (CELL_OCTETS, CellReceiver, CellSender,
                           CellStreamPort)
 from .component import Component
@@ -23,7 +25,7 @@ from .switch_fabric import AtmSwitchRtl
 from .registers import Counter, Register
 
 __all__ = [
-    "AccountingUnitRtl", "RECORD_WORDS",
+    "AccountingUnitRtl", "RECORD_WORDS", "RecordBusMonitor",
     "CELL_OCTETS", "CellReceiver", "CellSender", "CellStreamPort",
     "Component",
     "GlobalControlUnitRtl", "LookupClient",

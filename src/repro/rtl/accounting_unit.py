@@ -30,7 +30,7 @@ from ..hdl.simulator import Simulator
 from .cell_stream import CELL_OCTETS, CellStreamPort
 from .component import Component
 
-__all__ = ["AccountingUnitRtl", "RECORD_WORDS"]
+__all__ = ["AccountingUnitRtl", "RecordBusMonitor", "RECORD_WORDS"]
 
 #: 32-bit words per charging record on the output bus.
 RECORD_WORDS = 6
@@ -217,5 +217,42 @@ class AccountingUnitRtl(Component):
             elif not self._rec_idle:
                 w_rec_valid("0")
                 self._rec_idle = True
+
+        return evaluate
+
+
+class RecordBusMonitor(Component):
+    """Captures an :class:`AccountingUnitRtl`'s record bus.
+
+    Each rising edge with ``rec_valid`` high contributes ``rec_word`` to
+    :attr:`words`; :meth:`records` groups them into the six-word
+    charging records.  A clocked process like any other, so it runs in
+    the clock's compiled kernel (one evaluation per rising edge) or on
+    the event kernel under ``Simulator.rtl_backend = "event"``.
+    """
+
+    def __init__(self, sim: Simulator, name: str, clk: Signal,
+                 unit: AccountingUnitRtl) -> None:
+        super().__init__(sim, name)
+        self.unit = unit
+        self.words: List[int] = []
+        self.clocked(clk, self._compile_seq)
+
+    def records(self) -> List[Tuple[int, ...]]:
+        """The complete records captured so far, as 6-tuples."""
+        words = self.words
+        return [tuple(words[i:i + RECORD_WORDS])
+                for i in range(0, len(words) - RECORD_WORDS + 1,
+                               RECORD_WORDS)]
+
+    def _compile_seq(self, ctx):
+        """The sample: keep the word on the bus while it is valid."""
+        rec_valid = ctx.read(self.unit.rec_valid)
+        rec_word = ctx.read(self.unit.rec_word)
+        words = self.words
+
+        def evaluate():
+            if rec_valid.value == "1":
+                words.append(slot_int(rec_word.value))
 
         return evaluate

@@ -128,6 +128,14 @@ class CellSender(Component):
         count until their idle trailer has played)."""
         return len(self._queue) + self._inflight
 
+    @property
+    def drained_at(self) -> int:
+        """The first tick by which every scheduled cell has been
+        clocked out (the current time when none is in flight)."""
+        if not self._inflight:
+            return self.sim.now
+        return self._next_free_edge
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

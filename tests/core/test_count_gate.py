@@ -7,7 +7,7 @@ cycle more per clock, one null message more per window, one waveform
 event less per cell or one network event more per cell is a modelling
 change that a wall-clock bound on a shared host cannot see.  The RTL
 scenario is that of ``python -m repro stats`` at 64 cells (16 CBR cells
-per port into ``AccountingUnitRtl``); the behavioural one is the
+per port into ``AccountingUnitRtl`` and its ``RecordBusMonitor``); the behavioural one is the
 four-source bursty mix into ``AccountingUnitBehav`` through taps and an
 ``AtmSwitch``; the response-path one sends random payloads through
 ``AtmPortModuleRtl`` coupled with ``rx_port`` and ``tx_port``; the shard
@@ -44,7 +44,8 @@ HDL_COUNTS = {
     "process_runs": 26,
     "waveforms_scheduled": 64,
     "waveform_events": 700,
-    "compiled_evals": 3713,
+    # two per rising edge: the DUT and its record-bus monitor
+    "compiled_evals": 7426,
     "compiled_commit_writes": 26,
     "compiled_fallbacks": 0,
 }
@@ -108,8 +109,10 @@ def test_clock_engine_counts_the_cycles_of_an_environment_run(report):
     # rising edges lie at low + k * period, low = period - period // 2
     assert engine["cycles_run"] == (now + period // 2) // period == 3713
     assert engine["edges_applied"] == 7425
-    # one sequential evaluation per rising edge: the DUT is one component
-    assert report["hdl_kernel"]["compiled_evals"] == engine["cycles_run"]
+    # two sequential evaluations per rising edge: the DUT and the
+    # record-bus monitor that captures its records
+    assert report["hdl_kernel"]["compiled_evals"] \
+        == 2 * engine["cycles_run"]
 
 
 # ----------------------------------------------------------------------

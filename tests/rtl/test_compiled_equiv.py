@@ -7,7 +7,7 @@ waveforms (``compare_waveforms`` — final value per signal per
 timestamp), the same received cells and the same device counters, on
 both the event-driven clock and the :class:`CycleEngine`.  A seeded
 randomized replay hammers the four-port switch fabric the same way.
-Every one of the twelve shipped components is covered; the eight below
+Every one of the thirteen shipped components is covered; the nine below
 the fabric are driven directly by seeded stimulus.
 """
 
@@ -25,8 +25,8 @@ from repro.rtl import (CTRL_CLEAR, CTRL_REGISTER, CTRL_TICK, REG_CELLS_HI,
                        REG_VPI, AccountingMgmtSlave, AccountingUnitRtl,
                        AtmPortModuleRtl, AtmSwitchRtl, CellReceiver,
                        CellSender, CellStreamPort, Counter, HecChecker,
-                       HecGenerator, MpBusMaster, Register, SyncFifo,
-                       UpcPolicerRtl, crc8_step)
+                       HecGenerator, MpBusMaster, RecordBusMonitor,
+                       Register, SyncFifo, UpcPolicerRtl, crc8_step)
 
 PERIOD = 10
 CLOCKINGS = ("event", "cycle")
@@ -341,6 +341,7 @@ def test_accounting_unit_equivalent(tmp_path, clocking, bug):
         unit.register(1, 100, units_per_cell=2, units_per_cell_clp1=1,
                       fixed_units=3)
         unit.register(1, 101)
+        monitor = RecordBusMonitor(sim, "records", clk, unit)
         sender = CellSender(sim, "gen", clk, port=unit.rx)
         for vpi, vci, clp in ((1, 100, 0), (1, 100, 1), (1, 101, 0),
                               (9, 9, 0), (0, 0, 0), (1, 100, 0)):
@@ -353,12 +354,15 @@ def test_accounting_unit_equivalent(tmp_path, clocking, bug):
         play(sim, steps)
         signals = unit.rx.signals() + [unit.tariff_tick, unit.rec_valid,
                                        unit.rec_word]
-        return [unit], signals, run_for(sim, 420, lambda: (
-            unit.counters(), unit.interval, unit.output_backlog_words))
+        return [unit, monitor], signals, run_for(sim, 420, lambda: (
+            unit.counters(), unit.interval, unit.output_backlog_words,
+            monitor.words))
 
-    counters, _interval, _backlog = run_both_backends(
+    counters, _interval, backlog, words = run_both_backends(
         tmp_path, "acct", clocking, bench)
     assert counters["cells_seen"] == 5 and counters["records_emitted"] > 0
+    # the monitor captured every record word the unit streamed out
+    assert len(words) + backlog == 6 * counters["records_emitted"]
 
 
 @pytest.mark.parametrize("clocking", CLOCKINGS)

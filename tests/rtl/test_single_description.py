@@ -47,7 +47,7 @@ def test_components_found():
     found = {cls.name for module in rtl_modules()
              for cls in component_classes(module)}
     assert {"Component", "SyncFifo", "CellReceiver", "AtmSwitchRtl",
-            "AccountingMgmtSlave"} <= found
+            "AccountingMgmtSlave", "RecordBusMonitor"} <= found
     assert "MpBusMaster" not in found            # a test bench, not RTL
 
 
@@ -75,4 +75,4 @@ def test_clocked_takes_clk_build_and_name_only():
                            for arg in call.args), where
             assert set(keywords) <= {"name"}, where
             assert len(call.args) + len(keywords) in (2, 3), where
-    assert sites >= 12
+    assert sites >= 13

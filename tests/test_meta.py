@@ -1,5 +1,6 @@
 """Meta tests: the documentation's promises hold against the tree."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -105,3 +106,30 @@ def test_public_api_objects_are_documented():
                 if not inspect.getdoc(obj):
                     undocumented.append(f"repro.{name}.{symbol}")
     assert not undocumented, undocumented
+
+
+def test_records_are_captured_by_the_record_bus_monitor_only():
+    """``repro.rtl.RecordBusMonitor`` is the one capture of the
+    accounting unit's record bus; a generator that reads ``rec_valid``
+    is a second, hand-polled copy of it.  The benchmark suite keeps its
+    own monitor and is exempt."""
+    suite = ROOT / "benchmarks" / "suite"
+    offenders = []
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if suite in path.parents:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                inner = list(ast.walk(func))
+                if any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                       for node in inner) and any(
+                           isinstance(node, ast.Attribute)
+                           and node.attr == "rec_valid" for node in inner):
+                    offenders.append(
+                        f"{path.relative_to(ROOT)}:{func.lineno}")
+    assert offenders == [], (
+        f"read records through DutHandle.records or RecordBusMonitor: "
+        f"{offenders}")
