@@ -16,21 +16,19 @@ bugs are caught through both paths.  This is the paper's core promise:
 the test bench is authored once, at the highest abstraction level.
 """
 
-from dataclasses import astuple
-
 import pytest
 
 from repro.analysis import ExperimentResult, format_table
-from repro.atm import AccountingUnit, AtmCell, Tariff
-from repro.behav import build_dut
+from repro.atm import AtmCell
 from repro.board import HardwareTestBoard, RtlPinDevice
-from repro.core import (BoardInterfaceModel, CoVerificationEnvironment,
-                        StreamComparator, cell_stream_pin_config)
+from repro.core import (BoardInterfaceModel, StreamComparator,
+                        cell_stream_pin_config)
 from repro.hdl import Simulator
 from repro.rtl import AccountingUnitRtl
+from repro.scenario import two_interval_cosim, two_interval_reference
 from repro.traffic import OnOffSource, PoissonArrivals
 
-from .common import CELL_TIME, TIMEBASE, save_table, scaled
+from .common import CELL_TIME, save_table, scaled
 
 CELLS = scaled(60)
 
@@ -73,46 +71,6 @@ def network_level_testbench(seed=7):
     return spaced
 
 
-def reference_run(workload):
-    """Two tariff intervals: the first closes mid-workload, the second
-    at the end (two ticks are needed to expose a lost-tick defect)."""
-    reference = AccountingUnit(drop_unknown=True)
-    for vpi, vci, upc, upc1, fixed in CONNECTIONS:
-        reference.register(vpi, vci, Tariff(
-            units_per_cell=upc, units_per_cell_clp1=upc1,
-            fixed_units=fixed))
-    split = len(workload) // 2
-    records = []
-    for index, (_t, cell) in enumerate(workload):
-        if index == split:
-            records.extend(reference.close_interval())
-        reference.cell_arrival(cell.vpi, cell.vci, clp=cell.clp)
-    records.extend(reference.close_interval())
-    return [astuple(record) for record in records]
-
-
-def cosim_run(workload, bug=None):
-    """Path (b): RTL through the CASTANET coupling."""
-    env = CoVerificationEnvironment(timebase=TIMEBASE)
-    dut = build_dut(env, "accounting", name="acct", level="rtl", bug=bug)
-    for vpi, vci, upc, upc1, fixed in CONNECTIONS:
-        dut.design.register(vpi, vci, units_per_cell=upc,
-                            units_per_cell_clp1=upc1, fixed_units=fixed)
-    entity = dut.entity
-    split = len(workload) // 2
-    for index, (t, cell) in enumerate(workload):
-        if index == split:
-            # the tick must land strictly between the surrounding cells
-            entity.send_tariff_tick(
-                (workload[index - 1][0] + t) / 2.0)
-        entity.send_cell(t, cell)
-    last = workload[-1][0]
-    entity.send_tariff_tick(last + 2 * CELL_TIME)
-    entity.finish(last + 3 * CELL_TIME)
-    env.hdl.run(until=env.hdl.now + 64 * TIMEBASE.clock_period_ticks)
-    return dut.records()
-
-
 def board_run(workload, bug=None):
     """Path (c): the same RTL mounted on the hardware test board."""
     sim = Simulator()
@@ -149,10 +107,10 @@ def verdict(expected, observed, name):
 
 def test_e5_correct_dut_passes_all_paths(benchmark):
     workload = network_level_testbench()
-    expected = reference_run(workload)
+    expected = two_interval_reference(workload, CONNECTIONS)
 
     def run_once():
-        cosim_records = cosim_run(workload)
+        cosim_records = two_interval_cosim(workload, CONNECTIONS)
         board_records, interface = board_run(workload)
         return (verdict(expected, cosim_records, "cosim"),
                 verdict(expected, board_records, "board"), interface)
@@ -183,10 +141,10 @@ def test_e5_correct_dut_passes_all_paths(benchmark):
                                  "lost_tick"])
 def test_e5_injected_bugs_caught_by_both_paths(bug, benchmark):
     workload = network_level_testbench()
-    expected = reference_run(workload)
+    expected = two_interval_reference(workload, CONNECTIONS)
 
     def run_once():
-        cosim_records = cosim_run(workload, bug=bug)
+        cosim_records = two_interval_cosim(workload, CONNECTIONS, bug=bug)
         board_records, _ = board_run(workload, bug=bug)
         return (verdict(expected, cosim_records, f"cosim-{bug}"),
                 verdict(expected, board_records, f"board-{bug}"))

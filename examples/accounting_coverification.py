@@ -16,12 +16,9 @@ realistic bug.
 Run:  python examples/accounting_coverification.py
 """
 
-from dataclasses import astuple
-
-from repro.atm import AccountingUnit, AtmCell, Tariff
-from repro.core import (CoVerificationEnvironment, StreamComparator,
-                        TimeBase)
-from repro.rtl import AccountingUnitRtl, RecordBusMonitor
+from repro.atm import AtmCell
+from repro.core import StreamComparator, TimeBase
+from repro.scenario import two_interval_cosim, two_interval_reference
 from repro.traffic import OnOffSource, PoissonArrivals
 
 TIMEBASE = TimeBase.for_line_rate()
@@ -59,43 +56,6 @@ def build_workload():
     return spaced
 
 
-def run_reference(workload):
-    reference = AccountingUnit(drop_unknown=True)
-    for vpi, vci, upc, upc1, fixed in CONNECTIONS:
-        reference.register(vpi, vci, Tariff(units_per_cell=upc,
-                                            units_per_cell_clp1=upc1,
-                                            fixed_units=fixed))
-    records = []
-    split = len(workload) // 2
-    for i, (_t, cell) in enumerate(workload):
-        if i == split:
-            records.extend(reference.close_interval())
-        reference.cell_arrival(cell.vpi, cell.vci, clp=cell.clp)
-    records.extend(reference.close_interval())
-    return [astuple(record) for record in records]
-
-
-def run_rtl(workload, bug=None):
-    env = CoVerificationEnvironment(timebase=TIMEBASE)
-    dut = AccountingUnitRtl(env.hdl, "accounting", env.clk, bug=bug)
-    for vpi, vci, upc, upc1, fixed in CONNECTIONS:
-        dut.register(vpi, vci, units_per_cell=upc,
-                     units_per_cell_clp1=upc1, fixed_units=fixed)
-    entity = env.add_dut(rx_port=dut.rx, tick_signal=dut.tariff_tick)
-    monitor = RecordBusMonitor(env.hdl, "records", env.clk, dut)
-
-    split = len(workload) // 2
-    for i, (t, cell) in enumerate(workload):
-        if i == split:
-            entity.send_tariff_tick((workload[i - 1][0] + t) / 2.0)
-        entity.send_cell(t, cell)
-    last = workload[-1][0]
-    entity.send_tariff_tick(last + 2 * CELL_TIME)
-    entity.finish(last + 3 * CELL_TIME)
-    env.hdl.run(until=env.hdl.now + 64 * TIMEBASE.clock_period_ticks)
-    return monitor.records()
-
-
 def compare(expected, observed, label):
     comparator = StreamComparator(label, normalize="sorted")
     comparator.extend_reference(expected)
@@ -112,13 +72,15 @@ def main() -> int:
     workload = build_workload()
     print(f"authored one network-level test bench: {len(workload)} cells, "
           "2 tariff intervals\n")
-    expected = run_reference(workload)
+    expected = two_interval_reference(workload, CONNECTIONS)
 
     print("-- correct RTL through CASTANET " + "-" * 30)
-    good = compare(expected, run_rtl(workload), "accounting-rtl")
+    good = compare(expected, two_interval_cosim(workload, CONNECTIONS),
+                   "accounting-rtl")
 
     print("\n-- RTL with injected CLP-swap defect " + "-" * 25)
-    bad = compare(expected, run_rtl(workload, bug="swap_clp"),
+    bad = compare(expected,
+                  two_interval_cosim(workload, CONNECTIONS, bug="swap_clp"),
                   "accounting-rtl-buggy")
 
     ok = good.passed and not bad.passed

@@ -1,9 +1,7 @@
 """Result collection and report rendering."""
 
-from .journal import JournalEntry, RunJournal
 from .report import (EventAccounting, ExperimentResult, format_table,
                      histogram, speedup)
 
-__all__ = ["JournalEntry", "RunJournal",
-           "EventAccounting", "ExperimentResult", "format_table",
+__all__ = ["EventAccounting", "ExperimentResult", "format_table",
            "histogram", "speedup"]

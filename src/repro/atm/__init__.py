@@ -1,12 +1,11 @@
 """ATM model suite.
 
 Cells and HEC, VPI/VCI switching tables, GCRA policing, the charging
-(accounting) reference algorithm, AAL5 segmentation/reassembly and an
-abstract N-port switch model — the OPNET "ATM model suite" equivalent
-the paper chose its network simulator for.
+(accounting) reference algorithm and an abstract N-port switch model —
+the OPNET "ATM model suite" equivalent the paper chose its network
+simulator for.
 """
 
-from .aal import AalError, Reassembler, TRAILER_OCTETS, crc32_aal5, segment
 from .buffering import PbsQueueModule
 from .accounting import (AccountingError, AccountingUnit, ChargingRecord,
                          Tariff)
@@ -14,10 +13,6 @@ from .cell import (AtmCell, CELL_BITS, CELL_OCTETS, CellFormatError,
                    HEADER_OCTETS, IDLE_VPI_VCI, PAYLOAD_OCTETS)
 from .hec import HEC_COSET, HEC_POLY, check_hec, crc8, hec_octet
 from .policing import LeakyBucket, VirtualScheduling, police_stream
-from .oam import (FUNC_LOOPBACK, LoopbackInitiator, LoopbackResponder,
-                  OAM_FAULT_MANAGEMENT, OamError, OamInfo,
-                  PT_END_TO_END_F5, PT_SEGMENT_F5, check_crc10, crc10,
-                  is_oam_cell, make_loopback_cell, parse_oam_cell)
 from .signaling import (CALL_TIMER, CallControlProcess, CallRequest,
                         HOLD_TIMER)
 from .switch import (AtmSwitch, GlobalControlUnit, PortModule,
@@ -26,13 +21,8 @@ from .switch import (AtmSwitch, GlobalControlUnit, PortModule,
 from .switching import ConnectionTable, RoutingEntry, RoutingError
 
 __all__ = [
-    "AalError", "Reassembler", "TRAILER_OCTETS", "crc32_aal5", "segment",
     "PbsQueueModule",
     "CALL_TIMER", "CallControlProcess", "CallRequest", "HOLD_TIMER",
-    "FUNC_LOOPBACK", "LoopbackInitiator", "LoopbackResponder",
-    "OAM_FAULT_MANAGEMENT", "OamError", "OamInfo", "PT_END_TO_END_F5",
-    "PT_SEGMENT_F5", "check_crc10", "crc10", "is_oam_cell",
-    "make_loopback_cell", "parse_oam_cell",
     "AccountingError", "AccountingUnit", "ChargingRecord", "Tariff",
     "AtmCell", "CELL_BITS", "CELL_OCTETS", "CellFormatError",
     "HEADER_OCTETS", "IDLE_VPI_VCI", "PAYLOAD_OCTETS",

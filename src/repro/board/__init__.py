@@ -14,8 +14,6 @@ from .pinmap import (ConfigurationDataSet, CtrlPortMapping, IoPortMapping,
                      LANE_WIDTH, NUM_BYTE_LANES, NUM_PINS, PinMapError,
                      PinSegment, PortMapping)
 from .scsi import ScsiBus, ScsiTransfer
-from .selftest import (BoardSelfTest, SelfTestResult,
-                       loopback_all_lanes_config)
 
 __all__ = [
     "BoardError", "HardwareTestBoard", "MAX_BOARD_CLOCK_HZ",
@@ -26,5 +24,4 @@ __all__ = [
     "LANE_WIDTH", "NUM_BYTE_LANES", "NUM_PINS", "PinMapError",
     "PinSegment", "PortMapping",
     "ScsiBus", "ScsiTransfer",
-    "BoardSelfTest", "SelfTestResult", "loopback_all_lanes_config",
 ]

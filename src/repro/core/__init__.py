@@ -15,14 +15,9 @@ from .contract import DUT_LEVELS, DutContract, resolve_level
 from .cosim import (CELL_MSG, CosimulationEntity,
                     ResidualBacklogWarning, TICK_MSG)
 from .environment import CoVerificationEnvironment, TapModule
-from .ifgen import (GeneratedBundle, GeneratedReceiver, GeneratedSender,
-                    InterfaceDescription, atm_cell_interface,
-                    charging_record_interface)
 from .mapping import CellMapper, FieldSpec, MappingError, StructMapper
 from .messages import (CausalityError, MessageQueue, MessageQueueSet,
                        TimestampedMessage)
-from .regression import (CaseResult, RegressionError, RegressionReport,
-                         RegressionSuite)
 from .sync import (ConservativeSynchronizer, LockstepSynchronizer,
                    SyncStatistics)
 from .timebase import CELL_BITS, CELL_OCTETS, STM1_LINE_RATE, TimeBase
@@ -39,14 +34,9 @@ __all__ = [
     "CELL_MSG", "CosimulationEntity", "ResidualBacklogWarning",
     "TICK_MSG",
     "CoVerificationEnvironment", "TapModule",
-    "GeneratedBundle", "GeneratedReceiver", "GeneratedSender",
-    "InterfaceDescription", "atm_cell_interface",
-    "charging_record_interface",
     "CellMapper", "FieldSpec", "MappingError", "StructMapper",
     "CausalityError", "MessageQueue", "MessageQueueSet",
     "TimestampedMessage",
-    "CaseResult", "RegressionError", "RegressionReport",
-    "RegressionSuite",
     "ConservativeSynchronizer", "LockstepSynchronizer", "SyncStatistics",
     "CELL_BITS", "CELL_OCTETS", "STM1_LINE_RATE", "TimeBase",
     "ConformanceReport", "ConformanceVector", "VectorBuilder",

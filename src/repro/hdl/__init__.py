@@ -2,8 +2,8 @@
 
 Nine-value ``std_logic`` signals with multi-driver resolution, VHDL
 delta-cycle semantics, callback (RTL) and generator (test bench)
-processes, clock generators, VCD waveform dumping and test-bench
-helpers.
+processes, clock generators, and VCD waveform dumping and
+comparison.
 """
 
 from .assertions import (AssertionEngine, AssertionFailure,
@@ -19,8 +19,6 @@ from .processes import (CallbackProcess, FallingEdge, GeneratorProcess,
 from .signal import DriveError, Signal
 from .simulator import (CombinationalLoopError, SimulationError, Simulator,
                         WaveformStream)
-from .testbench import (Scoreboard, ScoreboardError, SignalMonitor,
-                        clocked_driver, drive_sequence)
 from .vcd import VcdWriter
 from .wave import (VcdData, VcdFormatError, WaveformDifference,
                    compare_waveforms)
@@ -39,8 +37,6 @@ __all__ = [
     "DriveError", "Signal",
     "CombinationalLoopError", "SimulationError", "Simulator",
     "WaveformStream",
-    "Scoreboard", "ScoreboardError", "SignalMonitor", "clocked_driver",
-    "drive_sequence",
     "VcdWriter",
     "VcdData", "VcdFormatError", "WaveformDifference",
     "compare_waveforms",

@@ -13,7 +13,6 @@ from .node import (Module, Node, ProcessorModule, QueueModule, SinkModule,
                    WiringError)
 from .packet import Packet, PacketFormatError
 from .process import FsmError, ProcessModel, State, Transition
-from .stat_trigger import StatTrigger
 from .statistics import Probe, RateMeter, summary
 from .topology import Network
 
@@ -26,6 +25,5 @@ __all__ = [
     "Packet", "PacketFormatError",
     "FsmError", "ProcessModel", "State", "Transition",
     "Probe", "RateMeter", "summary",
-    "StatTrigger",
     "Network",
 ]

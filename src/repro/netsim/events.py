@@ -25,14 +25,12 @@ class InterruptKind(enum.Enum):
 
     Mirrors OPNET's interrupt taxonomy: *stream* interrupts signal packet
     arrival on an input stream, *self* interrupts are timers a process
-    schedules for itself, *stat* interrupts signal a statistic crossing,
-    and *begin*/*end* bracket the simulation.
+    schedules for itself, and *begin*/*end* bracket the simulation.
     """
 
     BEGIN = "begin"
     STREAM = "stream"
     SELF = "self"
-    STAT = "stat"
     REMOTE = "remote"
     END = "end"
 

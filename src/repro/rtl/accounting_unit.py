@@ -112,11 +112,6 @@ class AccountingUnitRtl(Component):
         """Index of the currently open tariff interval."""
         return self._interval
 
-    @property
-    def connection_count(self) -> int:
-        """Number of registered connections."""
-        return len(self._entries)
-
     def interval_cells(self, vpi: int, vci: int) -> Tuple[int, int]:
         """(CLP0, CLP1) counts of the open interval (management read,
         mirrors the reference model's query)."""

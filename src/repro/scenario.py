@@ -16,13 +16,19 @@ drains the coupling and clocks the record FIFO out.  The sweep worker
 (:mod:`repro.sweep`), ``python -m repro stats``
 (:func:`repro.obs.scenario.run_observed_e1`) and the E1/E3 experiment
 benches all use these two functions.
+
+The accounting case study (§4, E5 and
+``examples/accounting_coverification.py``) drives the DUT directly
+with an authored ``(time, cell)`` workload over two tariff intervals:
+:func:`two_interval_reference` and :func:`two_interval_cosim` are that
+bench, for the reference model and the RTL through CASTANET.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .atm import AccountingUnit, AtmCell, AtmSwitch, Tariff
 from .behav.factory import DutHandle, build_dut
@@ -32,7 +38,8 @@ from .netsim import SinkModule
 from .traffic import (ArrivalProcess, ConstantBitRate, OnOffSource,
                       PoissonArrivals, TrafficSource)
 
-__all__ = ["ScenarioSpec", "Scenario", "build_scenario", "run_scenario"]
+__all__ = ["ScenarioSpec", "Scenario", "build_scenario", "run_scenario",
+           "two_interval_reference", "two_interval_cosim"]
 
 #: the modelled 155.52 Mb/s line with an octet-serial DUT clock
 TIMEBASE = TimeBase.for_line_rate()
@@ -199,3 +206,65 @@ def run_scenario(scenario: Scenario, drain: bool = True
         "netsim_events": env.network.kernel.executed_events,
         "cells": entity.cells_in,
     }
+
+
+def two_interval_reference(workload: Sequence[Tuple[float, AtmCell]],
+                           connections: Sequence[Tuple[int, ...]]
+                           ) -> List[tuple]:
+    """The reference model's records for *workload* over two tariff
+    intervals: the first closes before the middle cell, the second
+    after the last one (two ticks are needed to expose a lost-tick
+    defect).
+
+    *connections* holds ``(vpi, vci, units_per_cell,
+    units_per_cell_clp1, fixed_units)`` tuples; cells of any other
+    connection are dropped.  Records come back as tuples.
+    """
+    reference = AccountingUnit(drop_unknown=True)
+    for vpi, vci, upc, upc1, fixed in connections:
+        reference.register(vpi, vci, Tariff(
+            units_per_cell=upc, units_per_cell_clp1=upc1,
+            fixed_units=fixed))
+    split = len(workload) // 2
+    records = []
+    for index, (_t, cell) in enumerate(workload):
+        if index == split:
+            records.extend(reference.close_interval())
+        reference.cell_arrival(cell.vpi, cell.vci, clp=cell.clp)
+    records.extend(reference.close_interval())
+    return [astuple(record) for record in records]
+
+
+def two_interval_cosim(workload: Sequence[Tuple[float, AtmCell]],
+                       connections: Sequence[Tuple[int, ...]],
+                       bug: Optional[str] = None) -> List[tuple]:
+    """The same bench as :func:`two_interval_reference`, run on the
+    RTL accounting unit (with the injected defect *bug*, if any)
+    through CASTANET.
+
+    The mid-run tick lands halfway between the cells either side of
+    the split, the closing tick two cell times after the last cell;
+    the coupling then finishes a cell time later and the DUT clocks
+    :data:`RECORD_DRAIN_CLOCKS` more so its records stream out.
+    Returns the records its :class:`~repro.rtl.RecordBusMonitor`
+    captured.
+    """
+    cell_time = TIMEBASE.cell_time_seconds
+    env = CoVerificationEnvironment(timebase=TIMEBASE)
+    dut = build_dut(env, "accounting", name="acct", level="rtl", bug=bug)
+    for vpi, vci, upc, upc1, fixed in connections:
+        dut.design.register(vpi, vci, units_per_cell=upc,
+                            units_per_cell_clp1=upc1, fixed_units=fixed)
+    entity = dut.entity
+    split = len(workload) // 2
+    for index, (t, cell) in enumerate(workload):
+        if index == split:
+            # the tick must land strictly between the surrounding cells
+            entity.send_tariff_tick((workload[index - 1][0] + t) / 2.0)
+        entity.send_cell(t, cell)
+    last = workload[-1][0]
+    entity.send_tariff_tick(last + 2 * cell_time)
+    entity.finish(last + 3 * cell_time)
+    env.hdl.run(until=env.hdl.now
+                + RECORD_DRAIN_CLOCKS * TIMEBASE.clock_period_ticks)
+    return dut.records()

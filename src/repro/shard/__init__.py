@@ -24,9 +24,8 @@ Layers (bottom up):
   byte-identity guarantee lives here).
 * :mod:`~repro.shard.worker` — the worker-process frame loop.
 * :mod:`~repro.shard.client` — :class:`ShardHandle` (pipelined
-  remote driving), :class:`LocalShardHandle` (in-process reference)
-  and :class:`ShardPortEndpoint` (a shard port as a
-  :class:`~repro.core.contract.DutContract`).
+  remote driving) and :class:`LocalShardHandle` (in-process
+  reference).
 * :mod:`~repro.shard.topology` — :class:`TopologySpec` (TOML/JSON),
   :class:`ShardedTopology` (the process fleet) and
   :func:`run_topology` (the mode-agnostic windowed driver).
@@ -36,7 +35,7 @@ See ``docs/api/shard.md`` for the reference page and
 for the design walk-through.
 """
 
-from .client import LocalShardHandle, ShardHandle, ShardPortEndpoint
+from .client import LocalShardHandle, ShardHandle
 from .codec import (CodecError, OpBatch, OutputBatch, PackedOps,
                     PackedOutputs, decode_frame, encode_frame)
 from .group import ShardGroup
@@ -51,7 +50,7 @@ from .worker import (shard_worker_main, shard_worker_shm_main,
                      shard_worker_socket_main)
 
 __all__ = [
-    "ShardHandle", "LocalShardHandle", "ShardPortEndpoint",
+    "ShardHandle", "LocalShardHandle",
     "ShardGroup", "ShardError",
     "CodecError", "OpBatch", "PackedOps",
     "OutputBatch", "PackedOutputs",

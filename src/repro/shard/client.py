@@ -20,12 +20,6 @@ Ops are queued straight into the batch's columns (one f64 time
 column, one i32 port column, one op-code byte string, one contiguous
 cell blob) — no per-op tuple exists between the stimulus generator
 and the wire.
-
-:class:`ShardPortEndpoint` adapts one (handle, port) pair to the
-:class:`~repro.core.contract.DutContract` surface, so a remote shard
-port can stand wherever a :class:`CosimulationEntity` or behavioural
-entity does — taps, comparators and drivers stay level- *and*
-process-agnostic (mixed-level sharded topologies fall out of this).
 """
 
 from __future__ import annotations
@@ -33,16 +27,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..atm.cell import AtmCell
-from ..core.contract import DutContract
 from . import protocol
 from .codec import CELL_OCTETS, OpBatch, _UINT8
 from .group import ShardGroup
 from .transport import Transport, TransportClosed
 
-__all__ = ["ShardHandle", "LocalShardHandle", "ShardPortEndpoint"]
+__all__ = ["ShardHandle", "LocalShardHandle"]
 
 #: default op-batch size per FRAME_OPS frame
 DEFAULT_MAX_BATCH = 512
@@ -193,16 +185,6 @@ class _HandleBase:
     def output_count(self, port: int) -> int:
         """Collected output cells of *port* so far."""
         return len(self._out_times[port])
-
-    def output_cells(self, port: int) -> List[Tuple[float, AtmCell]]:
-        """The collected output stream of *port* as
-        ``(seconds, AtmCell)`` tuples (parsed on demand)."""
-        times, blob = self._out_times[port], self._out_blobs[port]
-        return [(times[i],
-                 AtmCell.from_octets(
-                     blob[i * CELL_OCTETS:(i + 1) * CELL_OCTETS],
-                     verify_hec=False))
-                for i in range(len(times))]
 
     def output_blob(self, port: int) -> bytes:
         """*port*'s whole output stream as one contiguous octet blob
@@ -451,68 +433,3 @@ class LocalShardHandle(_HandleBase):
         return {"frames_sent": 0, "frames_received": 0,
                 "bytes_sent": 0, "bytes_received": 0,
                 "ops_sent": self.ops_sent}
-
-
-class ShardPortEndpoint(DutContract):
-    """One shard switch port presented as a
-    :class:`~repro.core.contract.DutContract`.
-
-    ``send_cell``/``advance_time``/``send_tariff_tick`` queue ops on
-    the backing handle (nulls deduplicate per handle, so the per-port
-    fan-out of an environment's time listener cannot inflate the wire
-    stream); ``finish`` finishes the *handle* once — subsequent port
-    endpoints of the same shard see it already settled.  Output cells
-    are parsed lazily from the handle's collected octet stream.
-
-    This is what makes mixed-level sharded topologies compose: a
-    driver written against ``DutContract`` cannot tell a remote RTL
-    shard from a local behavioural twin.
-    """
-
-    def __init__(self, handle, port: int) -> None:
-        self.handle = handle
-        self.port = port
-        self.level = "rtl"
-        self.on_output: Optional[Callable[[float, AtmCell],
-                                          None]] = None
-        self.cells_in = 0
-        self.ticks_in = 0
-
-    @property
-    def output_cells(self) -> List[Tuple[float, AtmCell]]:
-        """Collected output cells of this port (parsed on demand from
-        the handle's octet stream)."""
-        return self.handle.output_cells(self.port)
-
-    def send_cell(self, time: float, cell) -> None:
-        """Queue one cell for this shard port at netsim *time*."""
-        self.cells_in += 1
-        self.handle.queue_cell(time, self.port, cell)
-
-    def send_tariff_tick(self, time: float) -> None:
-        """Queue a tariff tick for the shard's accounting unit."""
-        self.ticks_in += 1
-        self.handle.queue_tick(time)
-
-    def advance_time(self, time: float) -> None:
-        """Queue a null message (deduplicated per handle)."""
-        self.handle.queue_null(time)
-
-    def finish(self, time: Optional[float] = None) -> None:
-        """Finish the backing handle once (idempotent across the
-        shard's port endpoints)."""
-        if self.handle.result is None:
-            self.handle.finish(time if time is not None else 0.0)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Per-endpoint snapshot: identity, stimulus counters and the
-        handle's exchange stats."""
-        return {
-            "level": self.level,
-            "shard": self.handle.shard_id,
-            "port": self.port,
-            "cells_in": self.cells_in,
-            "ticks_in": self.ticks_in,
-            "output_cells": self.handle.output_count(self.port),
-            "exchange": self.handle.stats(),
-        }

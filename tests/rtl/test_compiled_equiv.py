@@ -7,7 +7,7 @@ waveforms (``compare_waveforms`` — final value per signal per
 timestamp), the same received cells and the same device counters, on
 both the event-driven clock and the :class:`CycleEngine`.  A seeded
 randomized replay hammers the four-port switch fabric the same way.
-Every one of the thirteen shipped components is covered; the nine below
+Every one of the eleven shipped components is covered; the nine below
 the fabric are driven directly by seeded stimulus.
 """
 
@@ -19,14 +19,10 @@ from repro.atm import AtmCell
 from repro.hdl import (CompiledKernel, CycleEngine, Simulator,
                        UnsupportedFeature, VcdData, VcdWriter,
                        compare_waveforms)
-from repro.rtl import (CTRL_CLEAR, CTRL_REGISTER, CTRL_TICK, REG_CELLS_HI,
-                       REG_CELLS_LO, REG_CONN_COUNT, REG_CTRL,
-                       REG_INTERVAL, REG_STATUS, REG_UPC, REG_VCI,
-                       REG_VPI, AccountingMgmtSlave, AccountingUnitRtl,
-                       AtmPortModuleRtl, AtmSwitchRtl, CellReceiver,
-                       CellSender, CellStreamPort, Counter, HecChecker,
-                       HecGenerator, MpBusMaster, RecordBusMonitor,
-                       Register, SyncFifo, UpcPolicerRtl, crc8_step)
+from repro.rtl import (AccountingUnitRtl, AtmPortModuleRtl, AtmSwitchRtl,
+                       CellReceiver, CellSender, CellStreamPort, Counter,
+                       HecChecker, HecGenerator, RecordBusMonitor,
+                       Register, UpcPolicerRtl, crc8_step)
 
 PERIOD = 10
 CLOCKINGS = ("event", "cycle")
@@ -203,31 +199,6 @@ def run_for(sim, cycles, observe):
 
 
 @pytest.mark.parametrize("clocking", CLOCKINGS)
-def test_sync_fifo_equivalent(tmp_path, clocking):
-    def bench(sim, clk):
-        fifo = SyncFifo(sim, "fifo", clk, width=8, depth=4)
-        rng = random.Random(11)
-        steps = []
-        for k in range(60):
-            filling = k < 30
-            steps.append({
-                fifo.wr_en: "1" if rng.random() < (0.7 if filling
-                                                   else 0.3) else "0",
-                fifo.rd_en: "1" if rng.random() < (0.2 if filling
-                                                   else 0.7) else "0",
-                fifo.wr_data: rng.randrange(256)})
-        play(sim, steps)
-        signals = [fifo.wr_en, fifo.wr_data, fifo.rd_en, fifo.rd_data,
-                   fifo.empty, fifo.full]
-        return [fifo], signals, run_for(sim, 70, lambda: (
-            fifo.overflow_drops, fifo.max_level, len(fifo)))
-
-    drops, max_level, _level = run_both_backends(tmp_path, "fifo",
-                                                 clocking, bench)
-    assert drops > 0 and max_level == 4
-
-
-@pytest.mark.parametrize("clocking", CLOCKINGS)
 def test_register_equivalent(tmp_path, clocking):
     """Vector and scalar registers, with enable, synchronous reset and
     metavalues on ``d`` and in the reset value."""
@@ -366,50 +337,6 @@ def test_accounting_unit_equivalent(tmp_path, clocking, bug):
 
 
 @pytest.mark.parametrize("clocking", CLOCKINGS)
-def test_accounting_mgmt_slave_equivalent(tmp_path, clocking):
-    """The bus slave and its accounting unit, driven by the bus master:
-    registrations (one duplicate, one past a full table), a tariff tick,
-    every read-only register, a bad address and bad control codes."""
-    def bench(sim, clk):
-        unit = AccountingUnitRtl(sim, "acct", clk, table_size=2)
-        slave = AccountingMgmtSlave(sim, "mgmt", clk, unit)
-        master = MpBusMaster(sim, clk, slave.port, clock_period=PERIOD)
-
-        def run():
-            sim.run(until=2 * PERIOD)
-            reads = []
-            for vpi, vci in ((1, 100), (1, 100), (1, 200), (1, 300)):
-                master.write(REG_VPI, vpi)
-                master.write(REG_VCI, vci)
-                master.write(REG_UPC, 2)
-                master.write(REG_CTRL, CTRL_REGISTER)
-                reads.append(master.read(REG_STATUS))
-            master.write(REG_CTRL, CTRL_TICK)
-            sim.run(until=sim.now + 4 * PERIOD)
-            for addr in (REG_INTERVAL, REG_CONN_COUNT, REG_CELLS_LO,
-                         REG_CELLS_HI, REG_VPI, 0x7F):
-                reads.append(master.read(addr))
-            master.write(REG_STATUS, 1)
-            reads.append(master.read(REG_STATUS))
-            master.write(REG_CTRL, 99)
-            master.write(REG_CTRL, CTRL_CLEAR)
-            reads.append(master.read(REG_STATUS))
-            sim.run(until=sim.now + 20 * PERIOD)   # drain the records
-            return (reads, slave.writes, slave.reads, unit.interval,
-                    unit.counters())
-
-        port = slave.port
-        signals = [port.addr, port.wdata, port.rdata, port.rd, port.wr,
-                   port.ready, unit.tariff_tick, unit.rec_valid,
-                   unit.rec_word]
-        return [unit, slave], signals, run
-
-    reads, *_rest = run_both_backends(tmp_path, "mgmt", clocking, bench)
-    assert reads[:4] == [1, 2, 1, 2]             # ok, dup, ok, full
-    assert reads[4] == 1                         # one interval closed
-
-
-@pytest.mark.parametrize("clocking", CLOCKINGS)
 def test_cell_receiver_equivalent(tmp_path, clocking):
     """The receiver as the device under test: stray octets, a cell
     restarted mid-way by a new cellsync, a valid-low pause inside a
@@ -461,12 +388,10 @@ def test_every_shipped_component_compiles_on_a_default_simulator():
         port_module, switch, switch.gcu, accounting,
         UpcPolicerRtl(sim, "upc", clk),
         CellReceiver(sim, "mon", clk, port_module.tx),
-        SyncFifo(sim, "fifo", clk, width=8, depth=4),
         Register(sim, "reg", clk, sim.signal("reg.d", width=8, init=0)),
         Counter(sim, "count", clk, width=8),
         HecGenerator(sim, "hecgen", clk),
         HecChecker(sim, "hecchk", clk),
-        AccountingMgmtSlave(sim, "mgmt", clk, accounting),
     ]
     for component in components:
         assert component.backends, component.name

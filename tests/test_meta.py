@@ -133,3 +133,94 @@ def test_records_are_captured_by_the_record_bus_monitor_only():
     assert offenders == [], (
         f"read records through DutHandle.records or RecordBusMonitor: "
         f"{offenders}")
+
+
+
+def _public_names(tree):
+    """Top-level names a module defines without a leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _module_refs(path, text):
+    """Dotted module paths *path* imports (relative imports resolved)
+    or spells out, e.g. ``python -m repro.x`` in a string, plus the
+    package a file under ``src/`` belongs to."""
+    package = []
+    refs = set(re.findall(r"repro(?:\.\w+)+", text))
+    if ROOT / "src" in path.parents:
+        package = list(path.relative_to(ROOT / "src").parent.parts)
+        refs.add(".".join(package))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else []
+            module = ".".join(base + [node.module] if node.module
+                              else base)
+            refs.add(module)
+            refs.update(f"{module}.{alias.name}" for alias in node.names)
+    return refs
+
+
+def test_every_src_module_is_reached_outside_tests():
+    """Every module under ``src/repro`` serves a path a user runs: its
+    dotted path, or one of its public names, appears in another module
+    of ``src/`` (package ``__init__`` re-exports do not count), in
+    ``benchmarks/``, ``examples/`` or ``tools/``.  A name counts only in
+    a file that can see it — one of the module's own package, or one
+    that imports from that package — so a local variable that happens
+    to share the name does not.  A module reached only from unreached
+    modules is unreached too.  This is a static census of the source
+    text, not a profile of a run."""
+    allowed = {"repro.__main__"}                 # the ``python -m`` entry
+    users = {}
+    for top in ("src", "benchmarks", "examples", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            users[path] = (set(re.findall(r"\w+", text)),
+                           _module_refs(path, text))
+    modules = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name != "__init__.py":
+            dotted = ".".join(path.relative_to(ROOT / "src")
+                              .with_suffix("").parts)
+            modules[path] = (dotted, _public_names(
+                ast.parse(path.read_text(encoding="utf-8"))))
+
+    def reaches(user, dotted, names):
+        words, refs = users[user]
+        package = dotted.rpartition(".")[0]
+        return any(ref == dotted or ref.startswith(dotted + ".")
+                   for ref in refs) or (
+            bool(names & words)
+            and any(ref == package or ref.startswith(package + ".")
+                    for ref in refs))
+
+    unreached = set()
+    while True:
+        found = {path for path, (dotted, names) in modules.items()
+                 if path not in unreached and not any(
+                     reaches(user, dotted, names) for user in users
+                     if user != path and user not in unreached)}
+        if not found:
+            break
+        unreached |= found
+    offenders = sorted(modules[path][0] for path in unreached
+                       if modules[path][0] not in allowed)
+    assert offenders == [], (
+        "reached only by tests — delete them or put them on a path a "
+        f"user runs: {offenders}")
