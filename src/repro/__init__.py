@@ -16,8 +16,9 @@ Subpackages:
 * :mod:`repro.core` — CASTANET itself: simulator coupling, conservative
   synchronisation, abstraction interfaces, comparison machinery.
 * :mod:`repro.analysis` — result collection and report rendering.
-* :mod:`repro.reference` — test oracles for the HDL side's production
-  path; imported by tests only, never by the package.
+* :mod:`repro.reference` — test oracles (the HDL production path's
+  predecessors, the VCD waveform comparison, the leaky-bucket GCRA);
+  imported by tests only, never by the package.
 """
 
 __version__ = "1.0.0"

@@ -12,7 +12,7 @@ from .accounting import (AccountingError, AccountingUnit, ChargingRecord,
 from .cell import (AtmCell, CELL_BITS, CELL_OCTETS, CellFormatError,
                    HEADER_OCTETS, IDLE_VPI_VCI, PAYLOAD_OCTETS)
 from .hec import HEC_COSET, HEC_POLY, check_hec, crc8, hec_octet
-from .policing import LeakyBucket, VirtualScheduling, police_stream
+from .policing import VirtualScheduling
 from .signaling import (CALL_TIMER, CallControlProcess, CallRequest,
                         HOLD_TIMER)
 from .switch import (AtmSwitch, GlobalControlUnit, PortModule,
@@ -27,7 +27,7 @@ __all__ = [
     "AtmCell", "CELL_BITS", "CELL_OCTETS", "CellFormatError",
     "HEADER_OCTETS", "IDLE_VPI_VCI", "PAYLOAD_OCTETS",
     "HEC_COSET", "HEC_POLY", "check_hec", "crc8", "hec_octet",
-    "LeakyBucket", "VirtualScheduling", "police_stream",
+    "VirtualScheduling",
     "AtmSwitch", "GlobalControlUnit", "PortModule", "STM1_CELL_TIME",
     "make_setup_packet", "make_teardown_packet",
     "ConnectionTable", "RoutingEntry", "RoutingError",

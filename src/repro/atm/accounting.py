@@ -128,11 +128,6 @@ cells_clp1=0, charge_units=2)]
         return (vpi, vci) in self._accounts
 
     @property
-    def connection_count(self) -> int:
-        """Number of open accounts."""
-        return len(self._accounts)
-
-    @property
     def interval(self) -> int:
         """Index of the current (open) tariff interval."""
         return self._interval
@@ -184,18 +179,9 @@ cells_clp1=0, charge_units=2)]
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def interval_cells(self, vpi: int, vci: int) -> Tuple[int, int]:
-        """(CLP0, CLP1) cell counts of the open interval."""
-        account = self._require((vpi, vci))
-        return account.cells_clp0, account.cells_clp1
-
     def total_charge(self, vpi: int, vci: int) -> int:
         """Charge units accumulated over all closed intervals."""
         return self._require((vpi, vci)).total_charge
-
-    def grand_total(self) -> int:
-        """Charge units across all closed records (incl. deregistered)."""
-        return sum(record.charge_units for record in self.records)
 
     # ------------------------------------------------------------------
     # Internals

@@ -57,11 +57,6 @@ class PbsQueueModule(Module):
     def __len__(self) -> int:
         return len(self._fifo)
 
-    @property
-    def total_dropped(self) -> int:
-        """All discarded cells regardless of priority."""
-        return self.dropped_clp0 + self.dropped_clp1
-
     def receive(self, packet: Packet, stream: int) -> None:
         self.packets_in += 1
         clp = packet.get("CLP", 0)

@@ -1,19 +1,17 @@
-"""Usage parameter control: GCRA and leaky-bucket policing.
+"""Usage parameter control: GCRA policing.
 
 ATM traffic management (the paper: "the largest part of ATM traffic
 management ... in dedicated hardware") polices each connection at the
-UNI with the Generic Cell Rate Algorithm, ITU-T I.371.  Two
-mathematically equivalent formulations are implemented — the virtual
-scheduling algorithm and the continuous-state leaky bucket — and a
-property test (tests/atm) checks they accept/reject identically, which
-is the textbook equivalence result.
+UNI with the Generic Cell Rate Algorithm, ITU-T I.371, here in its
+virtual scheduling formulation.  The equivalent continuous-state leaky
+bucket is its test oracle (:class:`repro.reference.LeakyBucket`); a
+property test checks the two accept and reject identically, which is
+the textbook equivalence result.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-__all__ = ["VirtualScheduling", "LeakyBucket", "police_stream"]
+__all__ = ["VirtualScheduling"]
 
 
 class VirtualScheduling(object):
@@ -51,61 +49,3 @@ class VirtualScheduling(object):
         self._tat = 0.0
         self.conforming = 0
         self.non_conforming = 0
-
-
-class LeakyBucket(object):
-    """GCRA(T, tau) — continuous-state leaky bucket formulation.
-
-    The bucket drains at one unit per unit time, each conforming cell
-    pours in ``increment``, and a cell conforms iff the bucket content
-    just before pouring is <= ``limit``.
-    """
-
-    def __init__(self, increment: float, limit: float) -> None:
-        if increment <= 0:
-            raise ValueError(f"non-positive bucket increment {increment}")
-        if limit < 0:
-            raise ValueError(f"negative bucket limit {limit}")
-        self.increment = increment
-        self.limit = limit
-        self._content = 0.0
-        self._last_time = 0.0
-        self.conforming = 0
-        self.non_conforming = 0
-
-    def arrival(self, time: float) -> bool:
-        """Process a cell arrival; returns True when conforming."""
-        if time < self._last_time:
-            raise ValueError(
-                f"cell arrivals must be time-ordered: {time} < "
-                f"{self._last_time}")
-        drained = max(0.0, self._content - (time - self._last_time))
-        self._last_time = time
-        if drained > self.limit:
-            # Non-conforming cells do not add to the bucket.
-            self._content = drained
-            self.non_conforming += 1
-            return False
-        self._content = drained + self.increment
-        self.conforming += 1
-        return True
-
-    def reset(self) -> None:
-        """Forget all state (new connection)."""
-        self._content = 0.0
-        self._last_time = 0.0
-        self.conforming = 0
-        self.non_conforming = 0
-
-
-def police_stream(arrival_times: Sequence[float], increment: float,
-                  limit: float) -> Tuple[List[bool], float]:
-    """Police a whole arrival stream with GCRA(T=increment, tau=limit).
-
-    Returns:
-        (verdicts, conforming_fraction) — one boolean per cell.
-    """
-    gcra = VirtualScheduling(increment, limit)
-    verdicts = [gcra.arrival(t) for t in arrival_times]
-    fraction = (sum(verdicts) / len(verdicts)) if verdicts else 1.0
-    return verdicts, fraction

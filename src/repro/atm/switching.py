@@ -75,8 +75,3 @@ class ConnectionTable:
             self.misses += 1
             raise RoutingError(
                 f"no connection (port={in_port}, vpi={vpi}, vci={vci})")
-
-    def contains(self, in_port: int, vpi: int, vci: int) -> bool:
-        """True when the connection is installed (no statistics side
-        effects)."""
-        return (in_port, vpi, vci) in self._entries

@@ -1,7 +1,7 @@
 """CASTANET — the co-verification core.
 
 Time-stamped message queues, the conservative timing-window
-synchronisation protocol, abstraction interfaces (struct ↔ bit-level
+synchronisation protocol, the abstraction interface (cell ↔ bit-level
 conversion), the co-simulation entity, the board interface model,
 reference-vs-DUT stream comparison and the top-level
 :class:`CoVerificationEnvironment` façade.
@@ -15,7 +15,7 @@ from .contract import DUT_LEVELS, DutContract, resolve_level
 from .cosim import (CELL_MSG, CosimulationEntity,
                     ResidualBacklogWarning, TICK_MSG)
 from .environment import CoVerificationEnvironment, TapModule
-from .mapping import CellMapper, FieldSpec, MappingError, StructMapper
+from .mapping import CellMapper
 from .messages import (CausalityError, MessageQueue, MessageQueueSet,
                        TimestampedMessage)
 from .sync import (ConservativeSynchronizer, LockstepSynchronizer,
@@ -34,7 +34,7 @@ __all__ = [
     "CELL_MSG", "CosimulationEntity", "ResidualBacklogWarning",
     "TICK_MSG",
     "CoVerificationEnvironment", "TapModule",
-    "CellMapper", "FieldSpec", "MappingError", "StructMapper",
+    "CellMapper",
     "CausalityError", "MessageQueue", "MessageQueueSet",
     "TimestampedMessage",
     "ConservativeSynchronizer", "LockstepSynchronizer", "SyncStatistics",

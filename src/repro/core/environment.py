@@ -18,7 +18,6 @@ coupled DUT(s), and (optionally) forwards it unchanged.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -308,10 +307,6 @@ class CoVerificationEnvironment:
         """Compare every registered comparator and collect reports."""
         return [comp.compare() for comp in self.comparators]
 
-    def all_passed(self) -> bool:
-        """True when every comparator's report passes."""
-        return all(report.passed for report in self.reports())
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -344,13 +339,6 @@ class CoVerificationEnvironment:
         if self.trace is not None:
             snapshot["trace_records"] = self.trace.emitted
         return snapshot
-
-    def export_metrics(self, path: Union[str, Path]) -> Path:
-        """Write :meth:`metrics` as indented JSON; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.metrics(), indent=2,
-                                   sort_keys=True) + "\n")
-        return path
 
     # ------------------------------------------------------------------
     # Internals

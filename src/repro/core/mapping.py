@@ -5,123 +5,28 @@ abstract data types has to be mapped to bit-level signals using
 appropriate conversion functions that are provided in the CASTANET
 library."
 
-:class:`StructMapper` is the generic device — a declarative field list
-(the C-struct of Figure 4) packed to/from octet streams —
-and :class:`CellMapper` the ATM-specific instance mapping network-
-simulator packets to the 53-octet cell image plus its control-signal
-schedule.
+:class:`CellMapper` is the ATM instance: it maps cells to the 53-octet
+bit-level image and back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..atm.cell import AtmCell, CELL_OCTETS
-from ..netsim.packet import Packet
 
-__all__ = ["FieldSpec", "StructMapper", "CellMapper", "MappingError"]
-
-
-class MappingError(ValueError):
-    """Raised for values that do not fit their declared field."""
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """One field of an abstract data type: a name and a bit width."""
-
-    name: str
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise MappingError(f"field {self.name!r} needs >= 1 bit")
-
-
-class StructMapper:
-    """Packs a dict of named integer fields into octets and back.
-
-    Fields are laid out MSB-first in declaration order and padded to a
-    whole number of octets.
-
-    Example:
-        >>> mapper = StructMapper([FieldSpec("VPI", 8),
-        ...                        FieldSpec("VCI", 16)])
-        >>> mapper.pack({"VPI": 1, "VCI": 0x0203})
-        [1, 2, 3]
-    """
-
-    def __init__(self, fields: Sequence[FieldSpec]) -> None:
-        if not fields:
-            raise MappingError("a struct needs at least one field")
-        names = [f.name for f in fields]
-        if len(set(names)) != len(names):
-            raise MappingError(f"duplicate field names in {names}")
-        self.fields = tuple(fields)
-        self.total_bits = sum(f.bits for f in fields)
-        self.total_octets = (self.total_bits + 7) // 8
-
-    def pack(self, values: Dict[str, int]) -> List[int]:
-        """Dict -> octet list (zero-padded to the octet boundary)."""
-        accumulator = 0
-        for spec in self.fields:
-            try:
-                value = values[spec.name]
-            except KeyError:
-                raise MappingError(
-                    f"missing field {spec.name!r}") from None
-            if not 0 <= value < (1 << spec.bits):
-                raise MappingError(
-                    f"field {spec.name!r} value {value} does not fit in "
-                    f"{spec.bits} bits")
-            accumulator = (accumulator << spec.bits) | value
-        pad = self.total_octets * 8 - self.total_bits
-        accumulator <<= pad
-        return [(accumulator >> (8 * (self.total_octets - 1 - i))) & 0xFF
-                for i in range(self.total_octets)]
-
-    def unpack(self, octets: Sequence[int]) -> Dict[str, int]:
-        """Octet list -> dict (inverse of :meth:`pack`)."""
-        if len(octets) != self.total_octets:
-            raise MappingError(
-                f"expected {self.total_octets} octets, got {len(octets)}")
-        accumulator = 0
-        for octet in octets:
-            if not 0 <= octet <= 0xFF:
-                raise MappingError(f"octet {octet} out of range")
-            accumulator = (accumulator << 8) | octet
-        pad = self.total_octets * 8 - self.total_bits
-        accumulator >>= pad
-        values: Dict[str, int] = {}
-        remaining = self.total_bits
-        for spec in self.fields:
-            remaining -= spec.bits
-            values[spec.name] = (accumulator >> remaining) \
-                & ((1 << spec.bits) - 1)
-        return values
+__all__ = ["CellMapper"]
 
 
 class CellMapper:
     """ATM-cell instance of the abstraction interface (Figure 4).
 
-    Maps network-simulator packets carrying VPI/VCI/... fields to the
-    53-octet bit-level image (and back), and describes the generated
-    control signals: the first octet of each cell is accompanied by a
-    one-clock ``cellsync`` pulse.
+    Maps cells to the 53-octet bit-level image and back; the first
+    octet of each cell goes onto the wire with a one-clock ``cellsync``
+    pulse.
     """
 
     octets_per_cell = CELL_OCTETS
-
-    def packet_to_octets(self, packet: Packet) -> List[int]:
-        """Abstract packet -> 53-octet wire image (HEC generated)."""
-        return AtmCell.from_packet(packet).to_octets()
-
-    def octets_to_packet(self, octets: Sequence[int],
-                         verify_hec: bool = True) -> Packet:
-        """53-octet wire image -> abstract packet."""
-        return AtmCell.from_octets(octets, verify_hec=verify_hec) \
-            .to_packet()
 
     def cell_to_octets(self, cell: AtmCell) -> List[int]:
         """AtmCell -> wire image."""
@@ -131,8 +36,3 @@ class CellMapper:
                        verify_hec: bool = True) -> AtmCell:
         """Wire image -> AtmCell."""
         return AtmCell.from_octets(octets, verify_hec=verify_hec)
-
-    def control_schedule(self) -> List[Tuple[str, int]]:
-        """The generated control signals: (signal, clock offset within
-        the cell transfer).  ``cellsync`` pulses with octet 0."""
-        return [("cellsync", 0)]

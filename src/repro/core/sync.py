@@ -29,8 +29,7 @@ the clocking scheme.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, Optional, Tuple,
-                    TYPE_CHECKING)
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from ..hdl.simulator import Simulator
 from .messages import (CausalityError, MessageQueueSet, TimestampedMessage)
@@ -153,8 +152,6 @@ class ConservativeSynchronizer(_SynchronizerBase):
     Driving:
         ``post(msg_type, time, payload)`` — a data message from the
         network simulator.
-        ``post_many(messages)`` — a batch of data messages; queued
-        together, then a single protocol advance.
         ``advance_time(time)`` — a null (time-only) message announcing
         the originator's clock on *all* queues; the standard
         Chandy-Misra deadlock-avoidance device, and the paper's
@@ -201,10 +198,6 @@ class ConservativeSynchronizer(_SynchronizerBase):
                 self._wait_hists[name] = metrics.histogram(
                     f"sync.queue_wait_s.{name}")
 
-    def set_handler(self, msg_type: str, handler: Handler) -> None:
-        """Install the delivery callable for *msg_type*."""
-        self.handlers[msg_type] = handler
-
     # -- originator-side API ----------------------------------------------
     def post(self, msg_type: str, time: float, payload: Any = None) -> None:
         """Receive a data message from the network simulator.
@@ -221,26 +214,6 @@ class ConservativeSynchronizer(_SynchronizerBase):
         self._queue_message(msg_type, time, payload)
         self._flush_nulls()
         self._advance()
-
-    def post_many(self, messages: Iterable[Tuple[str, float, Any]]
-                  ) -> None:
-        """Receive a batch of data messages — ``(msg_type, time,
-        payload)`` triples — from the network simulator.
-
-        All messages are queued (each validated, counted and traced
-        exactly like :meth:`post`) before a *single* protocol advance,
-        so a burst sharing one timestamp window costs one queue sweep
-        instead of one per message.  Deliveries still happen at the
-        same HDL ticks: every release follows a window grant to the
-        message's own stamp.
-        """
-        posted = False
-        for msg_type, time, payload in messages:
-            self._queue_message(msg_type, time, payload)
-            posted = True
-        self._flush_nulls()
-        if posted:
-            self._advance()
 
     def _queue_message(self, msg_type: str, time: float,
                        payload: Any) -> None:

@@ -6,10 +6,8 @@ checkers and coverage collectors are the standard instruments for
 judging what a vector set actually exercised.  This module provides:
 
 * :class:`AssertionEngine` — clocked immediate assertions
-  (``always``/``never``), bounded-response implications
-  (*if A at an edge, then B within N edges*) and stability checks;
-* :class:`ToggleCoverage` — per-bit 0→1 / 1→0 toggle collection;
-* :class:`ValueCoverage` — binned value coverage of a signal.
+  (``always``/``never``);
+* :class:`ToggleCoverage` — per-bit 0→1 / 1→0 toggle collection.
 
 Failures are recorded (with times) and optionally raised immediately.
 """
@@ -17,13 +15,13 @@ Failures are recorded (with times) and optionally raised immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .signal import Signal
 from .simulator import Simulator
 
 __all__ = ["AssertionEngine", "AssertionFailure", "HdlAssertionError",
-           "ToggleCoverage", "ValueCoverage"]
+           "ToggleCoverage"]
 
 Predicate = Callable[[], bool]
 
@@ -39,38 +37,6 @@ class AssertionFailure:
     name: str
     time: int
     message: str
-
-
-class _BoundedResponse:
-    """Tracks one pending A-implies-B-within-N obligation set."""
-
-    def __init__(self, name: str, antecedent: Predicate,
-                 consequent: Predicate, within: int) -> None:
-        self.name = name
-        self.antecedent = antecedent
-        self.consequent = consequent
-        self.within = within
-        #: remaining-edge counters of open obligations
-        self.pending: List[int] = []
-        self.triggered = 0
-        self.discharged = 0
-
-    def step(self) -> Optional[str]:
-        """Advance one clock edge; returns a failure message or None."""
-        if self.consequent():
-            self.discharged += len(self.pending)
-            self.pending.clear()
-        else:
-            self.pending = [n - 1 for n in self.pending]
-            if self.pending and self.pending[0] < 0:
-                expired = sum(1 for n in self.pending if n < 0)
-                self.pending = [n for n in self.pending if n >= 0]
-                return (f"consequent not seen within {self.within} "
-                        f"edges ({expired} obligation(s) expired)")
-        if self.antecedent():
-            self.pending.append(self.within)
-            self.triggered += 1
-        return None
 
 
 class AssertionEngine:
@@ -92,8 +58,6 @@ class AssertionEngine:
         self.checks_evaluated = 0
         self._always: List[Tuple[str, Predicate, str]] = []
         self._never: List[Tuple[str, Predicate, str]] = []
-        self._responses: List[_BoundedResponse] = []
-        self._stables: List[Tuple[str, Signal, Predicate, List[Any]]] = []
         sim.add_process("assertions", self._tick, sensitivity=[clk])
 
     # ------------------------------------------------------------------
@@ -108,22 +72,6 @@ class AssertionEngine:
                      message: str = "forbidden condition seen") -> None:
         """*condition* must never hold on a rising edge."""
         self._never.append((name, condition, message))
-
-    def assert_implies_within(self, name: str, antecedent: Predicate,
-                              consequent: Predicate,
-                              within: int) -> None:
-        """Whenever *antecedent* holds at an edge, *consequent* must
-        hold at some edge within the next *within* edges."""
-        if within < 1:
-            raise ValueError(f"bound must be >= 1, got {within}")
-        self._responses.append(
-            _BoundedResponse(name, antecedent, consequent, within))
-
-    def assert_stable_while(self, name: str, signal: Signal,
-                            enable: Predicate) -> None:
-        """*signal* must not change between edges where *enable*
-        holds on consecutive edges."""
-        self._stables.append((name, signal, enable, [None, False]))
 
     # ------------------------------------------------------------------
     # Results
@@ -163,20 +111,6 @@ class AssertionEngine:
             self.checks_evaluated += 1
             if condition():
                 self._fail(name, message)
-        for response in self._responses:
-            self.checks_evaluated += 1
-            message = response.step()
-            if message is not None:
-                self._fail(response.name, message)
-        for name, signal, enable, state in self._stables:
-            self.checks_evaluated += 1
-            enabled = enable()
-            if enabled and state[1] and signal.value != state[0]:
-                self._fail(name,
-                           f"{signal.name} changed from {state[0]!r} "
-                           f"to {signal.value!r} while stable-enabled")
-            state[0] = signal.value
-            state[1] = enabled
 
 
 class ToggleCoverage:
@@ -245,51 +179,3 @@ class ToggleCoverage:
                     missing.append("fall")
                 report.append(f"{names[key]}[{bit}]: no {'/'.join(missing)}")
         return report
-
-
-class ValueCoverage:
-    """Binned value coverage of one vector signal.
-
-    Args:
-        sim, clk: samples on rising clock edges.
-        signal: the observed signal.
-        bins: explicit list of values (or ``(lo, hi)`` range tuples)
-            that must each be hit at least once.
-    """
-
-    def __init__(self, sim: Simulator, clk: Signal, signal: Signal,
-                 bins: Sequence) -> None:
-        self.signal = signal
-        self.bins = list(bins)
-        self.hits: Dict[int, int] = {i: 0 for i in range(len(self.bins))}
-        self.samples = 0
-
-        def tick(_sim: Simulator) -> None:
-            if not clk.rising():
-                return
-            try:
-                value = signal.as_int()
-            except Exception:
-                return
-            self.samples += 1
-            for index, bin_ in enumerate(self.bins):
-                if isinstance(bin_, tuple):
-                    lo, hi = bin_
-                    if lo <= value <= hi:
-                        self.hits[index] += 1
-                elif value == bin_:
-                    self.hits[index] += 1
-
-        sim.add_process(f"cov:{signal.name}", tick, sensitivity=[clk])
-
-    def coverage(self) -> float:
-        """Fraction of bins hit at least once."""
-        if not self.bins:
-            return 1.0
-        return sum(1 for count in self.hits.values() if count) \
-            / len(self.bins)
-
-    def missed(self) -> List:
-        """Bins never hit."""
-        return [self.bins[i] for i, count in self.hits.items()
-                if not count]

@@ -42,9 +42,10 @@ commit wakes observers into the *following* delta cycle and marks
 ``Signal.event`` only for signals that actually woke an observer, so a
 process polling ``.event`` on an unobserved compiled output inside the
 same time step may read ``False`` where the event backend reads
-``True``.  Final per-tick values — the :func:`repro.hdl.
-compare_waveforms` bar — are identical; the equivalence suite in
-``tests/rtl/test_compiled_equiv.py`` enforces it per component.
+``True``.  Final per-tick values — the
+:func:`repro.reference.compare_waveforms` bar — are identical; the
+equivalence suite in ``tests/rtl/test_compiled_equiv.py`` enforces it
+per component.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class Slot:
     the ``std_logic`` character for scalars, a plain int for fully
     defined vectors, the canonical metavalue tuple otherwise.  It is
     kept in sync with :attr:`Signal.value` in both directions (the
-    compiled kernel's commit phase outward, :meth:`Signal._apply` and
-    :meth:`Signal.force` inward), so reads never need a refresh phase.
+    compiled kernel's commit phase outward, :meth:`Signal._apply`
+    inward), so reads never need a refresh phase.
     """
 
     __slots__ = ("signal", "value", "next_value", "dirty", "writer",
@@ -218,7 +219,7 @@ class EventContext:
     kernel: the same hook, built over live signals.
 
     :meth:`read` returns the signal's :class:`Slot` — ``Signal._apply``
-    and ``Signal.force`` keep it in sync, so ``.value`` is the slot form
+    keeps it in sync, so ``.value`` is the slot form
     of the current value — and :meth:`write` returns the signal's plain
     :meth:`~repro.hdl.Signal.drive`, so every write is an ordinary
     transaction of the running process, applied in the next delta

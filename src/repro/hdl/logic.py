@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple, Union
 
 __all__ = ["STD_LOGIC_VALUES", "resolve", "resolve_many", "to_vector",
-           "vector_to_int", "is_defined", "bits", "LogicError",
+           "vector_to_int", "LogicError",
            "U", "X", "ZERO", "ONE", "Z"]
 
 STD_LOGIC_VALUES = "UX01ZWLH-"
@@ -147,15 +147,3 @@ def vector_to_int(vector: Sequence[str]) -> int:
     if type(vector) is tuple and len(_VECTOR_INT_CACHE) < _CACHE_LIMIT:
         _VECTOR_INT_CACHE[vector] = result
     return result
-
-
-def is_defined(value: Union[str, Sequence[str]]) -> bool:
-    """True when every bit is a strong '0' or '1'."""
-    if isinstance(value, str) and len(value) == 1:
-        return value in "01"
-    return all(bit in "01" for bit in value)
-
-
-def bits(text: str) -> Tuple[str, ...]:
-    """Shorthand: ``bits("1010")`` -> ``('1','0','1','0')``."""
-    return to_vector(text, len(text))

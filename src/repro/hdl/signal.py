@@ -128,10 +128,6 @@ class Signal:
         """VHDL ``rising_edge``: an event that left the signal at '1'."""
         return self.event and self._value == "1"
 
-    def falling(self) -> bool:
-        """VHDL ``falling_edge``: an event that left the signal at '0'."""
-        return self.event and self._value == "0"
-
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
@@ -159,16 +155,6 @@ class Signal:
         """Remove the caller's driver (drive high-impedance)."""
         driver = self.sim._current_driver()
         self.sim._schedule_update(self, driver, None, delay)
-
-    def force(self, value: Union[Value, int]) -> None:
-        """Immediately set the resolved value, bypassing drivers.
-
-        Debug/test aid equivalent to a simulator ``force``; does not
-        produce an event and is overwritten by the next driver update.
-        """
-        self._value = self._normalize(value)
-        if self._compiled_slot is not None:
-            self._compiled_slot._sync(self._value)
 
     def normalize(self, value: Union[Value, int]) -> Value:
         """Validate and convert *value* to this signal's canonical

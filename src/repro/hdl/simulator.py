@@ -472,10 +472,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_for(self, ticks: int) -> int:
-        """Run *ticks* further from the current time."""
-        return self.run(until=self.now + ticks)
-
     @property
     def pending_event_count(self) -> int:
         """Scheduled-but-unapplied updates/resumes (incl. future).

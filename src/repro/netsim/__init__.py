@@ -13,7 +13,7 @@ from .node import (Module, Node, ProcessorModule, QueueModule, SinkModule,
                    WiringError)
 from .packet import Packet, PacketFormatError
 from .process import FsmError, ProcessModel, State, Transition
-from .statistics import Probe, RateMeter, summary
+from .statistics import Probe, summary
 from .topology import Network
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "WiringError",
     "Packet", "PacketFormatError",
     "FsmError", "ProcessModel", "State", "Transition",
-    "Probe", "RateMeter", "summary",
+    "Probe", "summary",
     "Network",
 ]

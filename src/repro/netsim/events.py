@@ -25,14 +25,13 @@ class InterruptKind(enum.Enum):
 
     Mirrors OPNET's interrupt taxonomy: *stream* interrupts signal packet
     arrival on an input stream, *self* interrupts are timers a process
-    schedules for itself, and *begin*/*end* bracket the simulation.
+    schedules for itself, and the *begin* interrupt starts the
+    simulation.
     """
 
     BEGIN = "begin"
     STREAM = "stream"
     SELF = "self"
-    REMOTE = "remote"
-    END = "end"
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class Interrupt:
         stream: input stream index for STREAM interrupts (else ``None``).
         code: user code distinguishing SELF interrupts.
         data: payload — the arriving packet for STREAM interrupts, or any
-            user object for SELF/REMOTE interrupts.
+            user object for SELF interrupts.
     """
 
     kind: InterruptKind

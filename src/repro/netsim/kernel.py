@@ -128,22 +128,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single earliest pending event.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the event
-            list is empty.
-        """
-        self._drop_cancelled_head()
-        if not self._queue:
-            return False
-        time, _, _, event = heappop(self._queue)
-        self._advance_time(time)
-        event.action()
-        self._executed_events += 1
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run events until the list drains, *until* is reached, or

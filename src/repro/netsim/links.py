@@ -59,7 +59,6 @@ class PointToPointLink:
         #: time at which the transmitter becomes free again
         self._tx_free_at = 0.0
         self.packets_carried = 0
-        self.busy_time = 0.0
         src.attach_link_tx(src_port, self.transmit)
 
     def serialization_time(self, packet: Packet) -> float:
@@ -78,14 +77,7 @@ class PointToPointLink:
         start = max(now, self._tx_free_at)
         ser = self.serialization_time(packet)
         self._tx_free_at = start + ser
-        self.busy_time += ser
         arrival = start + ser + self.delay
         self.packets_carried += 1
         self.kernel.schedule(arrival,
                              lambda: self.dst.deliver(packet, self.dst_port))
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time the transmitter was busy."""
-        if self.kernel.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / self.kernel.now)

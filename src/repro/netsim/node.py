@@ -138,7 +138,6 @@ class QueueModule(Module):
         if self.capacity is not None and len(self._fifo) >= self.capacity:
             self.dropped += 1
             return
-        packet.stamp("enqueue", self._kernel().now)
         self._fifo.append(packet)
         self.max_occupancy = max(self.max_occupancy, len(self._fifo))
         if self.service_time is not None and not self._busy:
@@ -149,10 +148,6 @@ class QueueModule(Module):
         if not self._fifo:
             return None
         return self._fifo.popleft()
-
-    def peek(self) -> Optional[Packet]:
-        """Return the head packet without removing it (or ``None``)."""
-        return self._fifo[0] if self._fifo else None
 
     def _start_service(self) -> None:
         self._busy = True

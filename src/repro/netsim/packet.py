@@ -36,7 +36,7 @@ class Packet:
         3
     """
 
-    __slots__ = ("id", "size_bits", "creation_time", "fields", "_stamps")
+    __slots__ = ("id", "size_bits", "creation_time", "fields")
 
     def __init__(self, size_bits: int = 0,
                  fields: Optional[Dict[str, Any]] = None,
@@ -45,7 +45,6 @@ class Packet:
         self.size_bits = size_bits
         self.creation_time = creation_time
         self.fields: Dict[str, Any] = dict(fields or {})
-        self._stamps: Dict[str, float] = {}
 
     # -- field access ---------------------------------------------------
     def __getitem__(self, key: str) -> Any:
@@ -65,22 +64,6 @@ class Packet:
     def get(self, key: str, default: Any = None) -> Any:
         """Return field *key* or *default* when absent."""
         return self.fields.get(key, default)
-
-    # -- bookkeeping ------------------------------------------------------
-    def stamp(self, label: str, time: float) -> None:
-        """Record a named time stamp (e.g. queue entry) on the packet."""
-        self._stamps[label] = time
-
-    def stamp_time(self, label: str) -> Optional[float]:
-        """Return a previously recorded time stamp, or ``None``."""
-        return self._stamps.get(label)
-
-    def copy(self) -> "Packet":
-        """Return a field-wise copy with a fresh packet id."""
-        clone = Packet(size_bits=self.size_bits, fields=dict(self.fields),
-                       creation_time=self.creation_time)
-        clone._stamps = dict(self._stamps)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Packet(id={self.id}, bits={self.size_bits}, "

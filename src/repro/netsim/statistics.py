@@ -2,17 +2,17 @@
 
 OPNET-style analysis support: probes record (time, value) samples and
 offer the summary statistics the paper's "powerful analysis
-capabilities" bullet refers to — means, percentiles, time averages and
-rate estimates.  Probes are cheap enough to leave enabled in
-co-simulation runs.
+capabilities" bullet refers to — means, extremes, deviations and time
+averages.  Probes are cheap enough to leave enabled in co-simulation
+runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["Probe", "RateMeter", "summary"]
+__all__ = ["Probe", "summary"]
 
 
 class Probe:
@@ -65,23 +65,6 @@ class Probe:
         mu = self.mean()
         return math.sqrt(sum((v - mu) ** 2 for v in self.values) / n)
 
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated *q*-th percentile, 0 <= q <= 100."""
-        if not self.values:
-            return math.nan
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile {q} outside [0, 100]")
-        data = sorted(self.values)
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        frac = pos - lo
-        # a + (b-a)*frac is exact for a == b (the weighted-sum form can
-        # underflow to zero on denormal inputs)
-        return data[lo] + (data[hi] - data[lo]) * frac
-
     def time_average(self) -> float:
         """Time-weighted average, treating samples as a step function
         held until the next sample (nan for <2 samples)."""
@@ -92,32 +75,6 @@ class Probe:
             area += self.values[i] * (self.times[i + 1] - self.times[i])
         span = self.times[-1] - self.times[0]
         return area / span if span > 0 else math.nan
-
-
-class RateMeter:
-    """Counts discrete occurrences and reports rates over the run."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.first_time: Optional[float] = None
-        self.last_time: Optional[float] = None
-
-    def tick(self, time: float, n: int = 1) -> None:
-        """Record *n* occurrences at *time*."""
-        if self.first_time is None:
-            self.first_time = time
-        self.last_time = time
-        self.count += n
-
-    def rate(self) -> float:
-        """Occurrences per unit time across the observed span."""
-        if self.first_time is None or self.last_time is None:
-            return 0.0
-        span = self.last_time - self.first_time
-        if span <= 0:
-            return 0.0
-        return self.count / span
 
 
 def summary(values: Sequence[float]) -> Tuple[float, float, float, float]:

@@ -28,18 +28,17 @@ shard with cross-process flow arrows.
 """
 
 from .chrome import (ChromeTraceError, export_chrome_trace,
-                     flow_processes, flow_tracks, load_trace_jsonl,
-                     validate_chrome_trace)
+                     load_trace_jsonl, validate_chrome_trace)
 from .distributed import (TELEMETRY_SCHEMA, build_telemetry,
                           coverage_snapshot, fsm_coverage,
                           hop_tail_coverage, residual_backlog,
                           spans_from_tracker, sync_window_coverage)
 from .merge import (merge_counters, merge_coverage, merge_histograms,
                     merge_instrument_snapshots, merge_spans,
-                    merge_telemetry, merge_trace_records)
+                    merge_telemetry)
 from .metrics import (Counter, DEFAULT_SECONDS_BOUNDS, Histogram,
                       MetricsRegistry, NULL_REGISTRY, SpanTimer)
-from .profile import PROFILE_METRICS, attach_profiling, detach_profiling
+from .profile import PROFILE_METRICS, attach_profiling
 from .provenance import HOPS, ProvenanceTracker, TRACE_ID_FIELD
 from .trace import TraceWriter
 
@@ -48,11 +47,10 @@ __all__ = ["ChromeTraceError", "Counter", "DEFAULT_SECONDS_BOUNDS",
            "PROFILE_METRICS", "ProvenanceTracker", "SpanTimer",
            "TELEMETRY_SCHEMA", "TRACE_ID_FIELD", "TraceWriter",
            "attach_profiling", "build_telemetry", "coverage_snapshot",
-           "detach_profiling", "export_chrome_trace",
-           "flow_processes", "flow_tracks", "fsm_coverage",
+           "export_chrome_trace", "fsm_coverage",
            "hop_tail_coverage", "load_trace_jsonl", "merge_counters",
            "merge_coverage", "merge_histograms",
            "merge_instrument_snapshots", "merge_spans",
-           "merge_telemetry", "merge_trace_records",
+           "merge_telemetry",
            "residual_backlog", "spans_from_tracker",
            "sync_window_coverage", "validate_chrome_trace"]

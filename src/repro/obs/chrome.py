@@ -34,18 +34,18 @@ label order, each with its own four named tracks; unlabelled records
 keep the classic single-process pid 1.  Flow chains are keyed by the
 cell's trace id, which survives the shard boundary (PR 10), so a cell
 hopping shard0 → shard1 draws one arrow chain *across* process groups
-— the cross-process causality view, checked by :func:`flow_processes`.
+— the cross-process causality view (the tests read it back with
+:func:`repro.reference.flow_processes`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = ["export_chrome_trace", "load_trace_jsonl",
-           "validate_chrome_trace", "flow_tracks", "flow_processes",
-           "ChromeTraceError",
+           "validate_chrome_trace", "ChromeTraceError",
            "NETSIM_TID", "HDL_TID", "SYNC_TID", "NULL_TID", "PID"]
 
 #: process id of unlabelled (single-process) records; shard-labelled
@@ -393,28 +393,3 @@ def validate_chrome_trace(payload: Dict[str, object]
                 f"flow {flow_id!r} has a non-'t' middle step")
     return {"events": len(events), "phases": counts,
             "tracks": sorted(frontier), "flows": len(flows)}
-
-
-def flow_tracks(payload: Dict[str, object]) -> Dict[object, Set[int]]:
-    """Map each flow (cell) id to the set of track ids it touches —
-    the cross-domain connectivity check of the acceptance criteria."""
-    result: Dict[object, Set[int]] = {}
-    for event in payload.get("traceEvents", []):
-        if event.get("ph") in ("s", "t", "f"):
-            result.setdefault(event.get("id"), set()).add(
-                event.get("tid"))
-    return result
-
-
-def flow_processes(payload: Dict[str, object]
-                   ) -> Dict[object, Set[int]]:
-    """Map each flow (cell) id to the set of *pids* it touches — a
-    flow spanning two pids is a cross-process provenance chain (the
-    distributed acceptance check: every sampled cell that hopped
-    shards must appear here with ≥ 2 pids)."""
-    result: Dict[object, Set[int]] = {}
-    for event in payload.get("traceEvents", []):
-        if event.get("ph") in ("s", "t", "f"):
-            result.setdefault(event.get("id"), set()).add(
-                event.get("pid"))
-    return result

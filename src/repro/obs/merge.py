@@ -26,8 +26,6 @@ and works the same on payloads read back from JSON files.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .distributed import (hop_tail_coverage, residual_backlog,
@@ -35,8 +33,7 @@ from .distributed import (hop_tail_coverage, residual_backlog,
 
 __all__ = ["merge_counters", "merge_histograms",
            "merge_instrument_snapshots", "merge_spans",
-           "merge_coverage", "merge_telemetry",
-           "merge_trace_records", "load_trace_jsonl"]
+           "merge_coverage", "merge_telemetry"]
 
 
 def merge_counters(snapshots: Iterable[Dict[str, int]]
@@ -234,26 +231,3 @@ def merge_telemetry(payloads: Iterable[Dict[str, Any]]
                              for p in payloads),
         "coverage": merge_coverage(payloads, instruments),
     }
-
-
-def merge_trace_records(streams: Iterable[List[Dict[str, Any]]]
-                        ) -> List[Dict[str, Any]]:
-    """Interleave per-process trace-record streams by originator time
-    (stable, so each process's own record order is preserved) — the
-    input the multi-process Chrome exporter consumes."""
-    merged: List[Dict[str, Any]] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=_span_order)
-    return merged
-
-
-def load_trace_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read one JSONL trace file (``TraceWriter`` output) back into
-    record dicts — blank lines skipped, everything else must parse."""
-    records: List[Dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records

@@ -23,10 +23,8 @@ integer counters and observability snapshots them (see
 
 from __future__ import annotations
 
-import json
 import time
 from bisect import bisect_left
-from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 __all__ = ["Counter", "Histogram", "SpanTimer", "MetricsRegistry",
@@ -277,13 +275,6 @@ class MetricsRegistry:
                            for name, h in
                            sorted(self._histograms.items())},
         }
-
-    def to_json(self, path: Union[str, Path]) -> Path:
-        """Write :meth:`snapshot` as indented JSON; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.snapshot(), indent=2,
-                                   sort_keys=True) + "\n")
-        return path
 
 
 #: the shared disabled registry — hand this to components when

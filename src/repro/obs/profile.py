@@ -14,7 +14,6 @@ around the hot section.
 registry — every invocation then lands one wall-clock sample in a
 ``prof.*`` histogram (see :data:`PROFILE_METRICS`), giving a per-layer
 time-attribution breakdown without a sampling profiler in the loop.
-:func:`detach_profiling` restores the zero-cost default.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import List, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.environment import CoVerificationEnvironment
 
-__all__ = ["attach_profiling", "detach_profiling", "PROFILE_METRICS"]
+__all__ = ["attach_profiling", "PROFILE_METRICS"]
 
 #: histogram names written by an attached profiler, one per hot path
 PROFILE_METRICS = (
@@ -65,14 +64,3 @@ def attach_profiling(env: "CoVerificationEnvironment") -> List[str]:
         if hasattr(entity, "sender"):
             entity.sender.profile = lambda: compile_timer
     return list(PROFILE_METRICS)
-
-
-def detach_profiling(env: "CoVerificationEnvironment") -> None:
-    """Restore the zero-cost ``profile = None`` default everywhere."""
-    env.network.kernel.profile = None
-    env.hdl.profile = None
-    for entity in env.entities:
-        if hasattr(entity, "sync") and hasattr(entity.sync, "profile"):
-            entity.sync.profile = None
-        if hasattr(entity, "sender"):
-            entity.sender.profile = None

@@ -27,7 +27,7 @@ tracker on at a low duty cycle while tests trace everything.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.packet import Packet
@@ -226,10 +226,6 @@ class ProvenanceTracker:
         ships back from shard workers (see
         :func:`repro.obs.distributed.spans_from_tracker`)."""
         return self._journeys
-
-    def hop_names(self) -> List[str]:
-        """The ``<from>_to_<to>`` keys with recorded latency samples."""
-        return [f"{a}_to_{b}" for a, b in sorted(self._hop_hists)]
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Machine-readable tracker counters."""

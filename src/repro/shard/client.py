@@ -7,8 +7,7 @@ finish → result), so topology drivers are written once:
   (:class:`~repro.shard.codec.OpBatch`) over a
   :class:`~repro.shard.transport.Transport` to a worker process,
   pipelining up to ``max_inflight`` unacknowledged frames so shard
-  compute overlaps coordinator-side op generation (the distributed
-  analogue of PR 4's ``post_many`` batching).
+  compute overlaps coordinator-side op generation.
 * :class:`LocalShardHandle` — the reference: applies the *identical*
   packed batches to an in-process
   :class:`~repro.shard.group.ShardGroup`.  Because both flavours

@@ -41,7 +41,6 @@ import struct
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import codec
-from .codec import CodecError
 
 __all__ = ["Transport", "PipeTransport", "SocketTransport",
            "ShmRingTransport", "shm_ring_pair",

@@ -1,24 +1,21 @@
 """Traffic model library.
 
-Stochastic sources (CBR, Poisson, on-off, MMPP), synthetic MPEG traces
-and trace record/replay — the stimuli CASTANET reuses from the network
-simulation environment as RTL and hardware test vectors.
+Stochastic sources (CBR, Poisson, on-off, MMPP, Pareto on-off),
+synthetic MPEG traces and trace files — the stimuli CASTANET reuses
+from the network simulation environment as RTL and hardware test
+vectors.
 """
 
-from .base import ArrivalProcess, TrafficSource, sample_arrivals
+from .base import ArrivalProcess, TrafficSource
 from .models import (ConstantBitRate, MarkovModulatedPoisson, OnOffSource,
-                     PoissonArrivals)
+                     ParetoOnOffSource, PoissonArrivals)
 from .mpeg import GOP_PATTERN, MpegCellArrivals, MpegTraceSynthesizer
-from .selfsimilar import (ParetoOnOffSource, SelfSimilarAggregate,
-                          hurst_from_shape, variance_time_slopes)
-from .trace import Trace, TraceError, TraceReplayArrivals
+from .trace import Trace, TraceError
 
 __all__ = [
-    "ArrivalProcess", "TrafficSource", "sample_arrivals",
+    "ArrivalProcess", "TrafficSource",
     "ConstantBitRate", "MarkovModulatedPoisson", "OnOffSource",
-    "PoissonArrivals",
+    "ParetoOnOffSource", "PoissonArrivals",
     "GOP_PATTERN", "MpegCellArrivals", "MpegTraceSynthesizer",
-    "ParetoOnOffSource", "SelfSimilarAggregate", "hurst_from_shape",
-    "variance_time_slopes",
-    "Trace", "TraceError", "TraceReplayArrivals",
+    "Trace", "TraceError",
 ]

@@ -4,15 +4,14 @@ The paper stresses that "effective traffic modeling for system analysis
 has become crucial" and that CASTANET reuses the network simulator's
 "library of traffic models" as hardware stimuli.  This module provides
 the common machinery: an *arrival process* yields inter-arrival times,
-a :class:`TrafficSource` module turns them into packets injected into a
-network model, and the same arrival processes can be sampled offline to
-build test-vector files for the hardware test board.
+and a :class:`TrafficSource` module turns them into packets injected
+into a network model.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from ..netsim.node import Module
 from ..netsim.packet import Packet
@@ -20,7 +19,7 @@ from ..netsim.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.provenance import ProvenanceTracker
 
-__all__ = ["ArrivalProcess", "TrafficSource", "sample_arrivals"]
+__all__ = ["ArrivalProcess", "TrafficSource"]
 
 
 class ArrivalProcess(abc.ABC):
@@ -39,13 +38,6 @@ class ArrivalProcess(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Rewind the process to its initial (seeded) state."""
-
-    def arrivals(self, limit: int) -> Iterator[float]:
-        """Yield *limit* absolute arrival times starting from zero."""
-        t = 0.0
-        for _ in range(limit):
-            t += self.next_interarrival()
-            yield t
 
 
 class TrafficSource(Module):
@@ -99,14 +91,3 @@ class TrafficSource(Module):
         self.emitted += 1
         self.send(packet, stream=0)
         self._schedule_next()
-
-
-def sample_arrivals(process: ArrivalProcess,
-                    n: int) -> List[float]:
-    """Sample *n* absolute arrival times from a (reset) process.
-
-    Convenience for offline test-vector generation and for statistics
-    tests; the process is reset first so repeated calls agree.
-    """
-    process.reset()
-    return list(process.arrivals(n))

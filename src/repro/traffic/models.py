@@ -2,8 +2,9 @@
 
 The classic source models used for ATM performance evaluation (Ferranto
 [11] in the paper): constant bit rate, Poisson, interrupted (on-off)
-processes and Markov-modulated Poisson processes.  All models are
-seeded and reproducible.
+processes and Markov-modulated Poisson processes, plus an on-off source
+with heavy-tailed (Pareto) sojourns, the building block of self-similar
+traffic models.  All models are seeded and reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from .base import ArrivalProcess
 
 __all__ = ["ConstantBitRate", "PoissonArrivals", "OnOffSource",
-           "MarkovModulatedPoisson"]
+           "MarkovModulatedPoisson", "ParetoOnOffSource"]
 
 
 class ConstantBitRate(ArrivalProcess):
@@ -90,15 +91,6 @@ class OnOffSource(ArrivalProcess):
         self._rng = random.Random(self._seed)
         self._on_remaining = self._rng.expovariate(1.0 / self.mean_on)
 
-    def mean_rate(self) -> float:
-        """Long-run average cell rate of the source."""
-        duty = self.mean_on / (self.mean_on + self.mean_off)
-        return duty / self.peak_period
-
-    def burstiness(self) -> float:
-        """Peak-to-mean rate ratio."""
-        return (1.0 / self.peak_period) / self.mean_rate()
-
     def next_interarrival(self) -> float:
         gap = 0.0
         # Consume whole OFF periods that elapse before the next cell.
@@ -143,12 +135,6 @@ class MarkovModulatedPoisson(ArrivalProcess):
         self._state_remaining = self._rng.expovariate(
             1.0 / self.sojourns[0])
 
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate."""
-        sa, sb = self.sojourns
-        ra, rb = self.rates
-        return (ra * sa + rb * sb) / (sa + sb)
-
     def next_interarrival(self) -> float:
         gap = 0.0
         while True:
@@ -162,3 +148,55 @@ class MarkovModulatedPoisson(ArrivalProcess):
             self._state = 1 - self._state
             self._state_remaining = self._rng.expovariate(
                 1.0 / self.sojourns[self._state])
+
+
+class ParetoOnOffSource(ArrivalProcess):
+    """An on-off source with Pareto-distributed sojourn times.
+
+    Args:
+        peak_period: inter-cell spacing while ON.
+        mean_on: mean ON duration (sets the Pareto scale).
+        mean_off: mean OFF duration.
+        alpha: Pareto shape, 1 < α < 2 (heavy-tailed, finite mean,
+            infinite variance — the self-similarity generator).
+        seed: RNG seed.
+    """
+
+    def __init__(self, peak_period: float, mean_on: float,
+                 mean_off: float, alpha: float = 1.5,
+                 seed: int = 0) -> None:
+        for label, value in (("peak_period", peak_period),
+                             ("mean_on", mean_on),
+                             ("mean_off", mean_off)):
+            if value <= 0:
+                raise ValueError(f"non-positive {label} {value}")
+        if not 1.0 < alpha < 2.0:
+            raise ValueError(f"shape {alpha} outside (1, 2)")
+        self.peak_period = peak_period
+        self.mean_on = mean_on
+        self.mean_off = mean_off
+        self.alpha = alpha
+        self._seed = seed
+        self.reset()
+
+    def reset(self) -> None:
+        self._rng = random.Random(self._seed)
+        self._on_remaining = self._pareto(self.mean_on)
+
+    def _pareto(self, mean: float) -> float:
+        """A Pareto sample with the requested mean: scale
+        x_m = mean * (α - 1) / α."""
+        scale = mean * (self.alpha - 1.0) / self.alpha
+        u = self._rng.random()
+        while u <= 0.0:
+            u = self._rng.random()
+        return scale / (u ** (1.0 / self.alpha))
+
+    def next_interarrival(self) -> float:
+        gap = 0.0
+        while self._on_remaining < self.peak_period:
+            gap += self._on_remaining
+            gap += self._pareto(self.mean_off)
+            self._on_remaining = self._pareto(self.mean_on)
+        self._on_remaining -= self.peak_period
+        return gap + self.peak_period

@@ -3,9 +3,7 @@
 CASTANET lets the user "run the simulation in the background while
 dumping the output data into a file and ... re-run previously generated
 test vectors".  A :class:`Trace` is the file format for that: a list of
-time-stamped field dictionaries that can be saved, re-loaded and
-replayed either into a network model (:class:`TraceReplayArrivals`) or
-converted into board test vectors.
+time-stamped field dictionaries that can be saved and re-loaded.
 """
 
 from __future__ import annotations
@@ -14,9 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .base import ArrivalProcess
-
-__all__ = ["Trace", "TraceEntry", "TraceReplayArrivals", "TraceError"]
+__all__ = ["Trace", "TraceEntry", "TraceError"]
 
 TraceEntry = Tuple[float, Dict[str, Any]]
 
@@ -96,44 +92,3 @@ class Trace:
                 raise TraceError(f"{path}:{lineno}: bad entry") from exc
             trace.append(time, fields)
         return trace
-
-
-class TraceReplayArrivals(ArrivalProcess):
-    """Arrival process replaying the time stamps of a recorded trace.
-
-    Replays cyclically when ``loop=True`` (the board's "test cycles run
-    repeatedly until the simulation is finished" mode); otherwise raises
-    ``StopIteration`` past the last entry.
-    """
-
-    def __init__(self, trace: Trace, loop: bool = False) -> None:
-        if len(trace) == 0:
-            raise TraceError("cannot replay an empty trace")
-        self.trace = trace
-        self.loop = loop
-        self.reset()
-
-    def reset(self) -> None:
-        self._index = 0
-        self._offset = 0.0
-        self._last_time = 0.0
-
-    def _mean_gap(self) -> float:
-        first = self.trace[0][0]
-        last = self.trace[-1][0]
-        return (last - first) / max(1, len(self.trace) - 1)
-
-    def next_interarrival(self) -> float:
-        if self._index >= len(self.trace):
-            if not self.loop:
-                raise StopIteration("trace exhausted")
-            # Restart the pattern one nominal gap after the last replayed
-            # entry, preserving the trace's internal spacing.
-            self._offset = (self._last_time + self._mean_gap()
-                            - self.trace[0][0])
-            self._index = 0
-        time = self.trace[self._index][0] + self._offset
-        self._index += 1
-        gap = max(0.0, time - self._last_time)
-        self._last_time = max(time, self._last_time)
-        return gap

@@ -89,7 +89,7 @@ def test_total_charge_accumulates():
     unit.cell_arrival(1, 1)
     unit.close_interval()
     assert unit.total_charge(1, 1) == 3
-    assert unit.grand_total() == 3
+    assert sum(record.charge_units for record in unit.records) == 3
 
 
 def test_records_sorted_by_connection_within_interval():
@@ -105,14 +105,6 @@ def test_invalid_tariff_rejected():
         Tariff(units_per_cell=-1)
     with pytest.raises(AccountingError):
         Tariff(fixed_units=1.5)
-
-
-def test_connection_count():
-    unit = AccountingUnit()
-    assert unit.connection_count == 0
-    unit.register(1, 1, Tariff())
-    unit.register(1, 2, Tariff())
-    assert unit.connection_count == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,7 +91,7 @@ class TestPbsQueue:
             assert len(queue) <= capacity
         # conservation: every cell either queued or counted dropped
         assert (queue.accepted_clp0 + queue.accepted_clp1
-                + queue.total_dropped) == len(clps)
+                + queue.dropped_clp0 + queue.dropped_clp1) == len(clps)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.data())
@@ -147,7 +147,7 @@ class TestCallControl:
             [self.request(hold=1.0)])
         net.run(until=0.01)  # established, hold timer still running
         assert agent.state == "connected"
-        assert switch.table.contains(0, 1, 100)
+        assert (0, 1, 100) in dict(switch.table)
 
     def test_sequential_calls(self):
         requests = [self.request(vci=100), self.request(vci=200)]

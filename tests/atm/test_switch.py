@@ -124,7 +124,8 @@ def test_accounting_integration():
         send_cell(eps[0], AtmCell.with_payload(1, 100, []),
                   i * STM1_CELL_TIME * 4, net.kernel)
     net.run()
-    assert accounting.interval_cells(1, 100) == (10, 0)
+    record, = accounting.close_interval()
+    assert (record.cells_clp0, record.cells_clp1) == (10, 0)
 
 
 def test_tariff_interval_timer():

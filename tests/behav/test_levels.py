@@ -6,7 +6,7 @@ import pytest
 from repro.behav import AtmPortModuleBehav, build_dut
 from repro.core import (CoVerificationEnvironment, DUT_LEVELS,
                         resolve_level)
-from repro.obs.profile import attach_profiling, detach_profiling
+from repro.obs.profile import attach_profiling
 
 
 def test_resolve_level_precedence():
@@ -92,4 +92,3 @@ def test_profiling_skips_behavioural_entities():
     env.add_dut(behav=twin)
     names = attach_profiling(env)  # must not trip on missing .sync
     assert names
-    detach_profiling(env)

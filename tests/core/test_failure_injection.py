@@ -116,4 +116,4 @@ def test_environment_survives_dut_with_no_traffic():
     env.add_dut(rx_port=dut.rx, tx_port=dut.tx)
     env.run(until=1e-5)
     env.finish()
-    assert env.all_passed()
+    assert all(report.passed for report in env.reports())

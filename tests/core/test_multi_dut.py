@@ -62,8 +62,9 @@ def test_both_duts_agree_with_their_references():
         reference.cell_arrival(1, 100)
     env.finish()
     assert translated == [(2, 200)] * 6
+    record, = reference.close_interval()
     assert accountant.interval_cells(1, 100) \
-        == reference.interval_cells(1, 100)
+        == (record.cells_clp0, record.cells_clp1)
 
 
 def test_each_entity_has_independent_sync_state():

@@ -1,6 +1,6 @@
 """Tests for the environment-level observability surface.
 
-Covers ``env.metrics()`` / ``export_metrics``, the observe/trace
+Covers ``env.metrics()``, the observe/trace
 wiring, the stale-advance accounting of both synchronisers and the
 finish-residual warning (satellites 1 and 2).
 """
@@ -13,7 +13,7 @@ import pytest
 from repro.atm import AtmCell
 from repro.core import (CoVerificationEnvironment,
                         ResidualBacklogWarning, TimeBase)
-from repro.rtl import AccountingUnitRtl, CellStreamPort
+from repro.rtl import AccountingUnitRtl
 
 TB = TimeBase(tick_seconds=1e-9, clock_period_ticks=10)
 
@@ -63,13 +63,6 @@ class TestMetrics:
         # the always-on protocol statistics still work
         assert report["entities"][0]["sync"]["messages_posted"] == 4
 
-    def test_export_metrics_roundtrip(self, tmp_path):
-        env, entity = build_env()
-        drive(env, entity)
-        path = env.export_metrics(tmp_path / "metrics.json")
-        data = json.loads(path.read_text())
-        assert data["entities"][0]["cells_in"] == 4
-
     def test_trace_records_schema(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         env, entity = build_env(trace=trace_path)
@@ -106,6 +99,28 @@ class TestStaleAdvances:
         assert entity.sync.stats.null_messages == before_nulls
         # the originator lower bound is never lowered
         assert entity.sync.originator_time == 1e-5
+
+    def test_conservative_null_at_originator_time_is_not_stale(self):
+        """Only a stamp strictly behind the known originator time is
+        stale; repeating the same stamp is a live null message."""
+        env, entity = build_env()
+        entity.advance_time(1e-5)
+        entity.advance_time(1e-5)
+        stats = entity.sync.stats
+        assert stats.stale_advances == 0
+        assert stats.null_messages == 2
+
+    def test_lockstep_null_at_hdl_now_is_stale(self):
+        """A stamp exactly at the HDL's local time is already covered:
+        lockstep counts it stale and runs no clock."""
+        env, entity = build_env(lockstep=True)
+        entity.advance_time(1e-5)
+        before_now = env.hdl.now
+        before_nulls = entity.sync.stats.null_messages
+        entity.advance_time(env.timebase.to_seconds(env.hdl.now))
+        assert env.hdl.now == before_now
+        assert entity.sync.stats.stale_advances == 1
+        assert entity.sync.stats.null_messages == before_nulls
 
 
 class TestFinishResidual:

@@ -189,41 +189,6 @@ class TestLockstep:
             sync.post("cell", 0.5e-6, None)
 
 
-class TestPostMany:
-    def test_batch_matches_sequential_posts(self):
-        batch_delivered, seq_delivered = [], []
-        _, _, batch = make_sync(
-            handlers={"cell": lambda m: batch_delivered.append(m.payload)})
-        _, _, seq = make_sync(
-            handlers={"cell": lambda m: seq_delivered.append(m.payload)})
-        messages = [("cell", (k + 1) * 1e-6, k) for k in range(5)]
-        batch.post_many(messages)
-        for msg_type, t, payload in messages:
-            seq.post(msg_type, t, payload)
-        assert batch_delivered == seq_delivered == [0, 1, 2, 3, 4]
-        assert batch.stats.messages_posted == 5
-        assert batch.hdl.now == seq.hdl.now
-        assert batch.t_cur == seq.t_cur
-
-    def test_empty_batch_is_a_noop(self):
-        _, hdl, sync = make_sync()
-        sync.post_many([])
-        assert sync.stats.messages_posted == 0
-        assert sync.stats.windows_granted == 0
-
-    def test_batch_rejects_past_message(self):
-        _, _, sync = make_sync()
-        sync.post("cell", 2e-6, "A")
-        with pytest.raises(CausalityError):
-            sync.post_many([("cell", 1e-6, "B")])
-
-    def test_simultaneous_batch_single_window(self):
-        _, _, sync = make_sync()
-        sync.post_many([("cell", 1e-6, "A"), ("cell", 1e-6, "B")])
-        assert sync.stats.windows_granted == 1
-        assert sync.stats.messages_released == 2
-
-
 class TestNullCoalescing:
     def test_off_by_default(self):
         _, _, sync = make_sync()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdl import (AssertionEngine, HdlAssertionError, Simulator,
-                       ToggleCoverage, ValueCoverage)
+                       ToggleCoverage)
 
 
 def make_bench():
@@ -60,78 +60,6 @@ class TestAlwaysNever:
             engine.check()
 
 
-class TestBoundedResponse:
-    def test_consequent_within_bound_passes(self):
-        sim, clk = make_bench()
-        req = sim.signal("req", init="0")
-        ack = sim.signal("ack", init="0")
-        engine = AssertionEngine(sim, clk)
-        engine.assert_implies_within("req-ack",
-                                     lambda: req.value == "1",
-                                     lambda: ack.value == "1", within=3)
-        req.drive("1", delay=12)
-        req.drive("0", delay=22)
-        ack.drive("1", delay=32)   # 2 edges after the req edge at 15
-        ack.drive("0", delay=42)
-        sim.run(until=120)
-        assert engine.passed, engine.failures
-
-    def test_missing_consequent_fails(self):
-        sim, clk = make_bench()
-        req = sim.signal("req", init="0")
-        ack = sim.signal("ack", init="0")
-        engine = AssertionEngine(sim, clk)
-        engine.assert_implies_within("req-ack",
-                                     lambda: req.value == "1",
-                                     lambda: ack.value == "1", within=3)
-        req.drive("1", delay=12)
-        req.drive("0", delay=22)
-        sim.run(until=120)
-        assert not engine.passed
-        assert "within 3" in engine.failures[0].message
-
-    def test_invalid_bound_rejected(self):
-        sim, clk = make_bench()
-        engine = AssertionEngine(sim, clk)
-        with pytest.raises(ValueError):
-            engine.assert_implies_within("x", lambda: True,
-                                         lambda: True, within=0)
-
-
-class TestStability:
-    def test_stable_signal_passes(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4, init=5)
-        hold = sim.signal("hold", init="1")
-        engine = AssertionEngine(sim, clk)
-        engine.assert_stable_while("d-stable", data,
-                                   lambda: hold.value == "1")
-        sim.run(until=100)
-        assert engine.passed
-
-    def test_change_while_enabled_fails(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4, init=5)
-        hold = sim.signal("hold", init="1")
-        engine = AssertionEngine(sim, clk)
-        engine.assert_stable_while("d-stable", data,
-                                   lambda: hold.value == "1")
-        data.drive(9, delay=42)
-        sim.run(until=100)
-        assert not engine.passed
-
-    def test_change_while_disabled_allowed(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4, init=5)
-        hold = sim.signal("hold", init="0")
-        engine = AssertionEngine(sim, clk)
-        engine.assert_stable_while("d-stable", data,
-                                   lambda: hold.value == "1")
-        data.drive(9, delay=42)
-        sim.run(until=100)
-        assert engine.passed
-
-
 class TestToggleCoverage:
     def test_full_toggle_coverage(self):
         sim, clk = make_bench()
@@ -168,30 +96,3 @@ class TestToggleCoverage:
         coverage = ToggleCoverage(sim, [clk])
         sim.run(until=30)
         assert coverage.coverage() == 1.0
-
-
-class TestValueCoverage:
-    def test_bins_hit(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4, init=0)
-        coverage = ValueCoverage(sim, clk, data, bins=[0, 5, (8, 15)])
-        data.drive(5, delay=12)
-        data.drive(9, delay=22)
-        sim.run(until=60)
-        assert coverage.coverage() == 1.0
-        assert coverage.missed() == []
-
-    def test_missed_bins_reported(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4, init=0)
-        coverage = ValueCoverage(sim, clk, data, bins=[0, 7, (8, 15)])
-        sim.run(until=60)
-        assert coverage.coverage() == pytest.approx(1 / 3)
-        assert coverage.missed() == [7, (8, 15)]
-
-    def test_metavalues_skipped(self):
-        sim, clk = make_bench()
-        data = sim.signal("d", width=4)  # all 'U'
-        coverage = ValueCoverage(sim, clk, data, bins=[0])
-        sim.run(until=60)
-        assert coverage.samples == 0

@@ -11,7 +11,8 @@ identical kernel event counts.
 import pytest
 
 from repro.atm import AtmCell
-from repro.hdl import CycleEngine, RisingEdge, Simulator, VcdWriter
+from repro.hdl import CycleEngine, RisingEdge, Simulator
+from repro.reference import VcdWriter
 from repro.rtl import (AtmSwitchRtl, CellReceiver, CellSender, Counter)
 
 

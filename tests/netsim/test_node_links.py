@@ -17,16 +17,6 @@ def test_queue_fifo_order():
     assert q.pop() is None
 
 
-def test_queue_peek_does_not_remove():
-    net = Network()
-    node = net.add_node("n")
-    q = QueueModule("q")
-    node.add_module(q)
-    q.receive(Packet(fields={"i": 0}), 0)
-    assert q.peek()["i"] == 0
-    assert len(q) == 1
-
-
 def test_queue_capacity_drops_overflow():
     net = Network()
     node = net.add_node("n")
@@ -133,19 +123,6 @@ def test_link_back_to_back_serialisation():
     net.run()
     assert sink.packets_in == 2
     assert sink.last_arrival == pytest.approx(2.0)
-
-
-def test_link_utilization():
-    net = Network()
-    a = net.add_node("a")
-    b = net.add_node("b")
-    sink = SinkModule("s")
-    b.add_module(sink)
-    b.bind_port_input(0, sink, 0)
-    link = net.add_link(a, 0, b, 0, rate_bps=100.0)
-    a.transmit(Packet(size_bits=100), 0)
-    net.run(until=2.0)
-    assert link.utilization() == pytest.approx(0.5)
 
 
 def test_invalid_link_configs_rejected():

@@ -30,24 +30,6 @@ def test_ids_are_unique():
     assert len(ids) == 100
 
 
-def test_copy_is_independent():
-    p = Packet(size_bits=8, fields={"x": 1})
-    q = p.copy()
-    q["x"] = 2
-    assert p["x"] == 1
-    assert q.id != p.id
-    assert q.size_bits == 8
-
-
-def test_stamps():
-    p = Packet()
-    assert p.stamp_time("enqueue") is None
-    p.stamp("enqueue", 3.5)
-    assert p.stamp_time("enqueue") == 3.5
-    q = p.copy()
-    assert q.stamp_time("enqueue") == 3.5
-
-
 def test_creation_time_recorded():
     p = Packet(creation_time=1.25)
     assert p.creation_time == 1.25

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim import Probe, RateMeter, summary
+from repro.netsim import Probe, summary
 
 
 def test_probe_mean_min_max():
@@ -39,22 +39,6 @@ def test_probe_std():
     assert p.std() == pytest.approx(2.0)
 
 
-def test_percentile_interpolation():
-    p = Probe("x")
-    for t, v in enumerate([10.0, 20.0, 30.0, 40.0]):
-        p.record(float(t), v)
-    assert p.percentile(0) == 10.0
-    assert p.percentile(100) == 40.0
-    assert p.percentile(50) == 25.0
-
-
-def test_percentile_bounds_checked():
-    p = Probe("x")
-    p.record(0.0, 1.0)
-    with pytest.raises(ValueError):
-        p.percentile(101)
-
-
 def test_time_average_step_function():
     p = Probe("x")
     p.record(0.0, 0.0)   # 0 for 1s
@@ -63,37 +47,12 @@ def test_time_average_step_function():
     assert p.time_average() == pytest.approx(30.0 / 4.0)
 
 
-def test_rate_meter():
-    m = RateMeter("cells")
-    for t in range(11):
-        m.tick(float(t))
-    assert m.count == 11
-    assert m.rate() == pytest.approx(1.1)
-
-
-def test_rate_meter_empty_and_single():
-    m = RateMeter("x")
-    assert m.rate() == 0.0
-    m.tick(5.0)
-    assert m.rate() == 0.0
-
-
 def test_summary_helper():
     mean, std, lo, hi = summary([1.0, 2.0, 3.0])
     assert mean == 2.0
     assert lo == 1.0
     assert hi == 3.0
     assert std == pytest.approx(math.sqrt(2.0 / 3.0))
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=1, max_size=100))
-def test_property_percentile_within_range(values):
-    p = Probe("x")
-    for t, v in enumerate(values):
-        p.record(float(t), v)
-    for q in (0, 25, 50, 75, 100):
-        assert min(values) <= p.percentile(q) <= max(values)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.obs import (ChromeTraceError, export_chrome_trace,
-                       flow_tracks, load_trace_jsonl,
-                       validate_chrome_trace)
+                       load_trace_jsonl, validate_chrome_trace)
 from repro.obs.chrome import HDL_TID, NETSIM_TID, NULL_TID, SYNC_TID
+from repro.reference import flow_tracks
 
 #: one complete two-hop journey plus sync/null records
 JOURNEY = [

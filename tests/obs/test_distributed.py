@@ -6,8 +6,7 @@ from types import SimpleNamespace
 from repro.atm import AtmSwitch, make_setup_packet
 from repro.netsim import Network, SinkModule
 from repro.obs import (MetricsRegistry, ProvenanceTracker,
-                       TELEMETRY_SCHEMA, build_telemetry,
-                       coverage_snapshot, fsm_coverage,
+                       TELEMETRY_SCHEMA, build_telemetry, fsm_coverage,
                        hop_tail_coverage, residual_backlog,
                        spans_from_tracker, sync_window_coverage)
 

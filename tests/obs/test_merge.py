@@ -4,12 +4,11 @@ streams, coverage recombination and the multi-process Chrome export."""
 import pytest
 
 from repro.obs import (Histogram, MetricsRegistry, export_chrome_trace,
-                       flow_processes, flow_tracks, merge_counters,
-                       merge_coverage, merge_histograms,
+                       merge_counters, merge_coverage, merge_histograms,
                        merge_instrument_snapshots, merge_spans,
-                       merge_telemetry, merge_trace_records,
-                       validate_chrome_trace)
+                       merge_telemetry, validate_chrome_trace)
 from repro.obs.chrome import PID
+from repro.reference import flow_processes, flow_tracks
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +172,13 @@ def _shard_records(shard, tid, base):
 def test_export_assigns_one_pid_per_shard_with_flows_across():
     """Two shards' records export under distinct pids; the shared
     cell id becomes a flow chain crossing both process groups."""
-    records = merge_trace_records([
+    records = (
         _shard_records("edge", 4, 0.0)
         + [{"ev": "span", "cell": 4, "hop": "shard_out", "t": 3e-4,
-            "shard": "edge"}],
-        [{"ev": "span", "cell": 4, "hop": "shard_in", "t": 4e-4,
-          "shard": "core"}]
-        + _shard_records("core", 4, 5e-4),
-    ])
+            "shard": "edge"},
+           {"ev": "span", "cell": 4, "hop": "shard_in", "t": 4e-4,
+            "shard": "core"}]
+        + _shard_records("core", 4, 5e-4))
     payload = export_chrome_trace(records)
     validate_chrome_trace(payload)
     pids = {event["pid"] for event in payload["traceEvents"]}

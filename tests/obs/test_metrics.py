@@ -1,7 +1,5 @@
 """Tests for the metric primitives (repro.obs.metrics)."""
 
-import json
-
 import pytest
 
 from repro.obs import (Counter, Histogram, MetricsRegistry,
@@ -87,12 +85,6 @@ class TestRegistry:
         snap = registry.snapshot()
         assert snap["counters"] == {"c": 3}
         assert snap["histograms"]["h"]["count"] == 1
-
-    def test_to_json_roundtrip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        path = registry.to_json(tmp_path / "metrics.json")
-        assert json.loads(path.read_text())["counters"] == {"c": 1}
 
 
 class TestDisabledRegistry:

@@ -41,10 +41,10 @@ def decode_records(words):
 
 def pulse_tariff(sim, dut, clocks_after=0):
     dut.tariff_tick.drive("1")
-    sim.run_for(10)
+    sim.run(until=sim.now + 10)
     dut.tariff_tick.drive("0")
     if clocks_after:
-        sim.run_for(10 * clocks_after)
+        sim.run(until=sim.now + 10 * clocks_after)
 
 
 def test_counts_cells_per_connection():
@@ -179,6 +179,6 @@ def test_record_backlog_drains_one_word_per_clock():
     pulse_tariff(sim, dut)
     backlog = dut.output_backlog_words
     assert backlog > 0
-    sim.run_for(10 * (backlog + 2))
+    sim.run(until=sim.now + 10 * (backlog + 2))
     assert dut.output_backlog_words == 0
     assert len(records) == 4 * RECORD_WORDS

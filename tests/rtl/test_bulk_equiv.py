@@ -11,9 +11,9 @@ same received cells, on both the event-driven clock and the
 
 import pytest
 
-from repro.hdl import (CycleEngine, Simulator, VcdData, VcdWriter,
-                       compare_waveforms)
-from repro.reference import GeneratorCellSender
+from repro.hdl import CycleEngine, Simulator
+from repro.reference import (GeneratorCellSender, VcdData, VcdWriter,
+                             compare_waveforms)
 from repro.rtl import CellReceiver, CellSender
 
 PERIOD = 10

@@ -17,8 +17,8 @@ import pytest
 
 from repro.atm import AtmCell
 from repro.hdl import (CompiledKernel, CycleEngine, Simulator,
-                       UnsupportedFeature, VcdData, VcdWriter,
-                       compare_waveforms)
+                       UnsupportedFeature)
+from repro.reference import VcdData, VcdWriter, compare_waveforms
 from repro.rtl import (AccountingUnitRtl, AtmPortModuleRtl, AtmSwitchRtl,
                        CellReceiver, CellSender, CellStreamPort, Counter,
                        HecChecker, HecGenerator, RecordBusMonitor,

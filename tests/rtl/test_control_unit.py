@@ -35,7 +35,7 @@ def request(sim, clk, client, vpi, vci, timeout_clocks=200):
                              client.out_vci.as_int())
 
     sim.add_generator("requester", gen())
-    sim.run_for(10 * timeout_clocks)
+    sim.run(until=sim.now + 10 * timeout_clocks)
     return result
 
 
@@ -74,7 +74,7 @@ def test_lookup_latency_respected():
                 return
 
     sim.add_generator("req", gen())
-    sim.run_for(10 * 100)
+    sim.run(until=sim.now + 10 * 100)
     assert done_at["clocks"] >= 6
 
 
@@ -102,7 +102,7 @@ def test_round_robin_serves_all_clients():
 
     for i in range(3):
         sim.add_generator(f"req{i}", make_requester(i)())
-    sim.run_for(10 * 100)
+    sim.run(until=sim.now + 10 * 100)
     assert sorted(served) == [0, 1, 2]
     assert gcu.lookups_served == 3
 

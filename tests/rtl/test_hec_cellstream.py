@@ -27,9 +27,9 @@ def feed_octets(sim, dut, octets, sof_first=True):
         dut.d.drive(octet)
         dut.d_valid.drive("1")
         dut.sof.drive("1" if (sof_first and index == 0) else "0")
-        sim.run_for(10)
+        sim.run(until=sim.now + 10)
     dut.d_valid.drive("0")
-    sim.run_for(10)
+    sim.run(until=sim.now + 10)
 
 
 class TestCrc8Step:
@@ -60,7 +60,7 @@ class TestHecGenerator:
                         sensitivity=[gen.hec_valid])
         sim.run(until=2)
         feed_octets(sim, gen, [1, 2, 3, 4])
-        sim.run_for(50)
+        sim.run(until=sim.now + 50)
         assert len(pulses) == 1
 
     def test_sof_restarts_computation(self):

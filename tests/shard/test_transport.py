@@ -12,8 +12,8 @@ import pytest
 
 from repro.shard.codec import CodecError, OpBatch
 from repro.shard.transport import (PipeTransport, ShmRingTransport,
-                                   SocketTransport, TransportClosed,
-                                   TransportError, accept_transport,
+                                   TransportClosed, TransportError,
+                                   accept_transport,
                                    connect_transport, open_listener,
                                    _Ring, shm_ring_pair)
 

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-from pathlib import Path
 
 from repro.cli import main
 
@@ -72,8 +71,9 @@ def test_stats_sampling_reduces_traced_cells(capsys):
 
 
 def test_trace_run_and_export(capsys, tmp_path):
-    from repro.obs import flow_tracks, validate_chrome_trace
+    from repro.obs import validate_chrome_trace
     from repro.obs.chrome import HDL_TID, NETSIM_TID
+    from repro.reference import flow_tracks
 
     jsonl = tmp_path / "e1.trace.jsonl"
     chrome = tmp_path / "e1.trace.json"

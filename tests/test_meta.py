@@ -1,7 +1,9 @@
 """Meta tests: the documentation's promises hold against the tree."""
 
 import ast
+import importlib
 import re
+import textwrap
 from pathlib import Path
 
 
@@ -85,7 +87,7 @@ def test_e1_table_has_event_backend_and_behavioural_rows(
 def test_all_subpackages_have_docstrings_and_all():
     import importlib
     for name in ("netsim", "traffic", "atm", "hdl", "rtl", "board",
-                 "core", "analysis"):
+                 "core", "analysis", "obs", "shard", "sweep", "behav"):
         module = importlib.import_module(f"repro.{name}")
         assert module.__doc__, f"repro.{name} lacks a docstring"
         assert getattr(module, "__all__", None), \
@@ -98,7 +100,7 @@ def test_public_api_objects_are_documented():
     import inspect
     undocumented = []
     for name in ("netsim", "traffic", "atm", "hdl", "rtl", "board",
-                 "core", "analysis"):
+                 "core", "analysis", "obs", "shard", "sweep", "behav"):
         module = importlib.import_module(f"repro.{name}")
         for symbol in module.__all__:
             obj = getattr(module, symbol)
@@ -224,3 +226,151 @@ def test_every_src_module_is_reached_outside_tests():
     assert offenders == [], (
         "reached only by tests — delete them or put them on a path a "
         f"user runs: {offenders}")
+
+
+#: public names that only tests reach, each deferred to the ROADMAP item
+#: that decides whether it joins a user path or goes.  The name-level
+#: guard below also fails when an entry is reached or deleted, so this
+#: list can only shrink.
+PENDING = {
+    "repro.rtl.hec_circuit.HecGenerator": "item 24 (HEC on E1's line)",
+    "repro.rtl.hec_circuit.HecChecker": "item 24 (HEC on E1's line)",
+    "repro.rtl.registers.Register": "item 22 (rtl/behav slice)",
+    "repro.rtl.switch_fabric.AtmSwitchRtl.remove_connection":
+        "item 22 (rtl/behav slice)",
+    "repro.behav.twins.AtmSwitchBehav.remove_connection":
+        "item 22 (rtl/behav slice)",
+    "repro.rtl.policer.UpcPolicerRtl.remove_contract":
+        "item 22 (rtl/behav slice)",
+    "repro.behav.twins.UpcPolicerBehav.remove_contract":
+        "item 22 (rtl/behav slice)",
+    "repro.rtl.accounting_unit.AccountingUnitRtl.interval_cells":
+        "item 22 (rtl/behav slice)",
+    "repro.behav.twins.AccountingUnitBehav.interval_cells":
+        "item 22 (rtl/behav slice)",
+    "repro.rtl.accounting_unit.AccountingUnitRtl.output_backlog_words":
+        "item 22 (rtl/behav slice)",
+    "repro.board.board.HardwareTestBoard.lane_speed": "item 8 (board)",
+    "repro.board.board.HardwareTestBoard.set_lane_speed": "item 8 (board)",
+    "repro.board.pinmap.ConfigurationDataSet.from_dict": "item 8 (board)",
+    "repro.board.pinmap.ConfigurationDataSet.unpack_ctrlports":
+        "item 8 (board)",
+    "repro.core.environment.CoVerificationEnvironment.add_board_interface":
+        "item 8 (board)",
+    "repro.shard.codec.frame_header": "items 4/5 (shard)",
+    "repro.shard.codec.PackedOps.ops": "items 4/5 (shard)",
+    "repro.sweep.runner.run_sweep": "item 5 (one supervisor)",
+    "repro.sweep.spec.RunSpec.from_dict": "item 5 (one supervisor)",
+    "repro.sweep.aggregate.strip_volatile": "item 25 (one run record)",
+}
+
+#: modules whose definitions the name-level guard does not check: the
+#: test oracles and the ``python -m`` entry
+NAME_GUARD_EXEMPT = {"repro.reference", "repro.__main__"}
+
+
+def _public_definitions(tree):
+    """``(qualified name, node)`` for each public top-level function or
+    class of a module and each public method of its top-level
+    classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs + (ast.ClassDef,)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs) \
+                            and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
+
+
+def _identifier_lines(tree):
+    """``(identifier, line)`` for every name the code spells as an
+    identifier: ``Name.id``, ``Attribute.attr`` and import aliases.
+    String constants — docstrings, ``__all__`` entries — are not
+    identifiers and never count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], node.lineno
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """Every public function, class and method under ``src/repro``
+    serves a path a user runs: an identifier in the code of ``src/``,
+    ``benchmarks/``, ``examples/`` or ``tools/`` names it.  Docstrings,
+    ``__all__``, package ``__init__`` re-exports, the test oracles of
+    ``repro.reference`` and the name's own definition do not count.  A
+    method counts as reached when any attribute of that name is used
+    (the census cannot see types).  That is a known blind spot: a
+    test-only method whose name collides with another attribute in use
+    (say a ``step`` method and an unrelated ``obj.step``) passes.  A
+    later change may narrow it, e.g. to attribute uses on a receiver
+    whose class the AST shows.  Names in :data:`PENDING` wait for a
+    later change; the test fails when one of them is reached or gone,
+    so the list only shrinks."""
+    uses = {}
+    for top in ("src", "benchmarks", "examples", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            dotted = ".".join(path.relative_to(ROOT / "src").with_suffix("")
+                              .parts) if top == "src" else None
+            if path.name == "__init__.py" or dotted == "repro.reference":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, line in _identifier_lines(tree):
+                uses.setdefault(name, []).append((path, line))
+    unreached = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        dotted = ".".join(path.relative_to(ROOT / "src").with_suffix("")
+                          .parts)
+        if path.name == "__init__.py" or dotted in NAME_GUARD_EXEMPT:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, node in _public_definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(user != path or line not in own
+                       for user, line in uses.get(node.name, ())):
+                unreached.add(f"{dotted}.{qualified}")
+    offenders = sorted(unreached - set(PENDING))
+    assert offenders == [], (
+        "reached only by tests — delete them, move an oracle to "
+        f"repro.reference, or put them on a path a user runs: {offenders}")
+    settled = sorted(set(PENDING) - unreached)
+    assert settled == [], (
+        f"PENDING names that are now reached or gone — drop them: {settled}")
+
+
+def _workflow_scripts():
+    """``(workflow, line, source)`` for each inline Python script
+    (``python - <<'EOF'`` heredoc) in the CI workflows."""
+    heredoc = re.compile(r"python - <<'EOF'\n(.*?)\n[ \t]*EOF\b", re.S)
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        text = path.read_text(encoding="utf-8")
+        for match in heredoc.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            yield path.name, line, textwrap.dedent(match.group(1))
+
+
+def test_workflow_scripts_import_existing_names():
+    """The CI workflows' inline Python scripts import only names that
+    ``repro`` still defines.  The reach census does not read the
+    workflows, so without this check a deletion breaks a CI step
+    silently."""
+    scripts = list(_workflow_scripts())
+    assert scripts, "no inline CI scripts found: update the pattern"
+    missing = []
+    for workflow, line, source in scripts:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                missing.extend(
+                    f"{workflow}:{line}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name))
+    assert missing == [], f"CI scripts import deleted names: {missing}"

@@ -1,11 +1,10 @@
-"""Unit tests for MPEG trace synthesis and trace record/replay."""
+"""Unit tests for MPEG trace synthesis and trace files."""
 
 
 import pytest
 
 from repro.traffic import (GOP_PATTERN, MpegCellArrivals,
-                           MpegTraceSynthesizer, Trace, TraceError,
-                           TraceReplayArrivals)
+                           MpegTraceSynthesizer, Trace, TraceError)
 
 
 class TestMpegSynthesizer:
@@ -118,36 +117,3 @@ class TestTrace:
         path.write_text('{"trace": "x"}\nnot-json\n')
         with pytest.raises(TraceError):
             Trace.load(path)
-
-
-class TestTraceReplay:
-    def test_replays_exact_times(self):
-        t = Trace(entries=[(0.5, {}), (1.0, {}), (3.0, {})])
-        replay = TraceReplayArrivals(t)
-        gaps = [replay.next_interarrival() for _ in range(3)]
-        assert gaps == pytest.approx([0.5, 0.5, 2.0])
-
-    def test_exhaustion_raises_without_loop(self):
-        t = Trace(entries=[(1.0, {})])
-        replay = TraceReplayArrivals(t)
-        replay.next_interarrival()
-        with pytest.raises(StopIteration):
-            replay.next_interarrival()
-
-    def test_loop_preserves_internal_spacing(self):
-        t = Trace(entries=[(0.0, {}), (1.0, {}), (2.0, {})])
-        replay = TraceReplayArrivals(t, loop=True)
-        gaps = [replay.next_interarrival() for _ in range(7)]
-        # first pass 0,1,1 then restart one mean gap (1.0) later: 1,1,1,...
-        assert gaps == pytest.approx([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(TraceError):
-            TraceReplayArrivals(Trace())
-
-    def test_reset(self):
-        t = Trace(entries=[(0.25, {}), (0.75, {})])
-        replay = TraceReplayArrivals(t)
-        first = [replay.next_interarrival() for _ in range(2)]
-        replay.reset()
-        assert [replay.next_interarrival() for _ in range(2)] == first

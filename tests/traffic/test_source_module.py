@@ -2,8 +2,9 @@
 
 
 from repro.netsim import Network, Packet, SinkModule
-from repro.traffic import (ConstantBitRate, PoissonArrivals, TrafficSource,
-                           sample_arrivals)
+from repro.traffic import ConstantBitRate, PoissonArrivals, TrafficSource
+
+from .helpers import sample_arrivals
 
 
 def build_source_sink(arrivals, count=None, packet_factory=None):
